@@ -230,6 +230,19 @@ fn committed_stream_baseline_matches_schema() {
             "missing {want}: {names:?}"
         );
     }
+    // Restart acceptance: recovery at every tail length is at least 10x
+    // faster than the 4.65 s it took while snapshot decoding was
+    // quadratic in the document length.
+    for m in &report.measurements {
+        if m.name.starts_with("stream/recover/") {
+            assert!(
+                m.seconds <= 0.465,
+                "{} took {:.3} s, over the 0.465 s restart bound",
+                m.name,
+                m.seconds
+            );
+        }
+    }
     let round_tripped: StreamBenchReport =
         serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
     assert_eq!(round_tripped, report);

@@ -817,11 +817,37 @@ mod tests {
         dispatch(&v)
     }
 
-    fn temp_corpus() -> String {
-        let dir = std::env::temp_dir().join("comparesets_cli_test");
+    /// A corpus path no other test shares: tests run on parallel threads
+    /// of one process, so the pid alone does not make a path unique. The
+    /// directory holding it, with any file a test derives from the path,
+    /// is removed on drop, whether the test passed or not.
+    struct TempCorpus {
+        dir: std::path::PathBuf,
+        path: String,
+    }
+
+    impl std::ops::Deref for TempCorpus {
+        type Target = str;
+
+        fn deref(&self) -> &str {
+            &self.path
+        }
+    }
+
+    impl Drop for TempCorpus {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn temp_corpus() -> TempCorpus {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("comparesets_cli_test_{}_{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("corpus_{}.json", std::process::id()));
-        path.to_string_lossy().into_owned()
+        let path = dir.join("corpus.json").to_string_lossy().into_owned();
+        TempCorpus { dir, path }
     }
 
     #[test]
@@ -879,7 +905,6 @@ mod tests {
             .unwrap();
             assert!(n.contains("[TARGET]"), "{method}: {n}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -915,15 +940,12 @@ mod tests {
 
     #[test]
     fn corrupt_corpus_file_is_a_data_error() {
-        let dir = std::env::temp_dir().join("comparesets_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("corrupt_{}.json", std::process::id()));
-        std::fs::write(&path, "{\"name\": \"broken\"").unwrap();
-        let e = run(&["stats", path.to_str().unwrap()]).unwrap_err();
+        let path = temp_corpus();
+        std::fs::write(&*path, "{\"name\": \"broken\"").unwrap();
+        let e = run(&["stats", &path]).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Data);
         assert_eq!(e.exit_code(), 4);
         assert!(e.to_string().contains("loading"), "{e}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -944,7 +966,6 @@ mod tests {
         let e = run(&["select", "--corpus", &path]).unwrap_err();
         assert!(e.to_string().contains("target"));
         assert_eq!(e.kind, ErrorKind::Usage);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -965,7 +986,6 @@ mod tests {
         let e = run(&["select", "--corpus", &path, "--target", "9999"]).unwrap_err();
         assert!(e.to_string().contains("out of range"));
         assert_eq!(e.kind, ErrorKind::Usage);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -990,17 +1010,10 @@ mod tests {
             .map(|i| i.target().0)
             .expect("corpus has instances")
             .to_string();
-        let base = [
-            "select",
-            "--corpus",
-            path.as_str(),
-            "--target",
-            target.as_str(),
-        ];
+        let base = ["select", "--corpus", &path, "--target", target.as_str()];
         let lenient = run(&base).unwrap();
         let strict = run(&[&base[..], &["--strict", "true"]].concat()).unwrap();
         assert_eq!(lenient, strict);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1025,13 +1038,7 @@ mod tests {
             .map(|i| i.target().0)
             .expect("corpus has instances")
             .to_string();
-        let base = [
-            "select",
-            "--corpus",
-            path.as_str(),
-            "--target",
-            target.as_str(),
-        ];
+        let base = ["select", "--corpus", &path, "--target", target.as_str()];
         let sequential = run(&base).unwrap();
         let parallel = run(&[&base[..], &["--parallel", "true"]].concat()).unwrap();
         let pinned = run(&[&base[..], &["--threads", "2"]].concat()).unwrap();
@@ -1047,7 +1054,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("--backend"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1093,8 +1099,6 @@ mod tests {
         assert!(!report.metrics.is_empty());
         assert!(report.metrics.nomp_pursuits > 0);
         assert!(report.metrics.integer_regressions > 0);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&report_path).ok();
     }
 
     #[test]
@@ -1120,19 +1124,11 @@ mod tests {
             .expect("corpus has instances")
             .to_string();
         let report_path = path.replace(".json", ".metrics2.json");
-        let base = [
-            "select",
-            "--corpus",
-            path.as_str(),
-            "--target",
-            target.as_str(),
-        ];
+        let base = ["select", "--corpus", &path, "--target", target.as_str()];
         let plain = run(&base).unwrap();
         let metered =
             run(&[&base[..], &["--metrics-json", report_path.as_str()]].concat()).unwrap();
         assert_eq!(plain, metered);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&report_path).ok();
     }
 
     #[test]
@@ -1173,17 +1169,10 @@ mod tests {
             assert!(e.to_string().contains("deadline"), "{cmd}: {e}");
         }
         // A generous timeout changes nothing: output matches the plain run.
-        let base = [
-            "select",
-            "--corpus",
-            path.as_str(),
-            "--target",
-            target.as_str(),
-        ];
+        let base = ["select", "--corpus", &path, "--target", target.as_str()];
         let plain = run(&base).unwrap();
         let timed = run(&[&base[..], &["--timeout", "3600"]].concat()).unwrap();
         assert_eq!(plain, timed);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1240,7 +1229,7 @@ mod tests {
     fn serve_round_trips_over_the_wire() {
         use comparesets_serve::{Client, Request, Status};
 
-        let path = temp_corpus().replace(".json", "_serve.json");
+        let path = temp_corpus();
         run(&[
             "generate",
             "--category",
@@ -1302,7 +1291,6 @@ mod tests {
 
         let summary = server.join().unwrap().unwrap();
         assert!(summary.contains("served 3 request(s)"), "{summary}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

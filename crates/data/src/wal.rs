@@ -438,8 +438,17 @@ pub struct CorpusSnapshot {
 }
 
 fn load_snapshot(path: &Path) -> Result<CorpusSnapshot, WalError> {
-    let json = std::fs::read_to_string(path)?;
-    let snap: CorpusSnapshot = serde_json::from_str(&json)
+    check_snapshot(path, &std::fs::read(path)?)
+}
+
+/// Decode and validate the snapshot `bytes` read from `path` (which only
+/// names the file in errors). Bytes that are not UTF-8, do not decode,
+/// carry another schema tag, or hold an invalid dataset are
+/// [`WalError::Corrupt`].
+fn check_snapshot(path: &Path, bytes: &[u8]) -> Result<CorpusSnapshot, WalError> {
+    let json = std::str::from_utf8(bytes)
+        .map_err(|e| WalError::Corrupt(format!("{}: {e}", path.display())))?;
+    let snap: CorpusSnapshot = serde_json::from_str(json)
         .map_err(|e| WalError::Corrupt(format!("{}: {e}", path.display())))?;
     if snap.schema != SNAPSHOT_SCHEMA {
         return Err(WalError::Corrupt(format!(
@@ -859,12 +868,14 @@ impl CorpusStore {
         let plane = self.plane.clone();
         let plane = plane.as_deref();
         let snap_path = self.dir.join(SNAPSHOT_FILE);
-        // Demote a *valid* primary to the previous generation. When the
-        // primary does not load (we are re-sealing after a fallback) the
-        // existing prev file is the only good generation — keep it.
-        if load_snapshot(&snap_path).is_ok() {
-            let bytes = std::fs::read(&snap_path)?;
-            write_atomic_with(&self.dir.join(SNAPSHOT_PREV_FILE), &bytes, plane)?;
+        // Demote a *valid* primary to the previous generation: the very
+        // bytes just checked, read once. When the primary does not load
+        // (we are re-sealing after a fallback) the existing prev file is
+        // the only good generation — keep it.
+        if let Ok(bytes) = std::fs::read(&snap_path) {
+            if check_snapshot(&snap_path, &bytes).is_ok() {
+                write_atomic_with(&self.dir.join(SNAPSHOT_PREV_FILE), &bytes, plane)?;
+            }
         }
         let snap = CorpusSnapshot {
             schema: SNAPSHOT_SCHEMA.to_string(),
@@ -1255,6 +1266,51 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_demotes_exactly_the_primary_it_validated() {
+        let dir = temp_dir("demote");
+        let (mut store, rec) = CorpusStore::open(&dir, Some(&base()), 0, None).unwrap();
+        let mut live = rec.dataset;
+        let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        for k in 0..2 {
+            let ev = add_event(&live, store.next_seq(), k, 0);
+            store.append(std::slice::from_ref(&ev)).unwrap();
+            live.apply_event(&ev).unwrap();
+            let primary = read(SNAPSHOT_FILE);
+            store.snapshot(&live).unwrap();
+            assert_eq!(read(SNAPSHOT_PREV_FILE), primary, "snapshot {k}");
+            assert_ne!(read(SNAPSHOT_FILE), primary, "snapshot {k}");
+        }
+
+        // A corrupt primary (torn, or not even UTF-8) is never demoted
+        // over the good previous generation.
+        let good_prev = read(SNAPSHOT_PREV_FILE);
+        let primary = read(SNAPSHOT_FILE);
+        for corrupt in [&primary[..primary.len() / 2], b"\xff{\"schema\":"] {
+            std::fs::write(dir.join(SNAPSHOT_FILE), corrupt).unwrap();
+            store.snapshot(&live).unwrap();
+            assert_eq!(read(SNAPSHOT_PREV_FILE), good_prev);
+            assert_eq!(read(SNAPSHOT_FILE), primary, "re-sealed the same state");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_utf8_primary_snapshot_falls_back_one_generation() {
+        let (dir, live) = two_generation_store("notutf8");
+        std::fs::write(dir.join(SNAPSHOT_FILE), b"{\"schema\":\"\xff\"}").unwrap();
+        let rec = recover(&dir, None).unwrap();
+        assert!(rec.snapshot_fallback);
+        assert_eq!(rec.snapshot_seq, 3);
+        assert_eq!(rec.last_seq, 7);
+        assert!(rec.faults.iter().any(|f| f.contains("primary snapshot")));
+        assert_eq!(
+            serde_json::to_string(&rec.dataset).unwrap(),
+            serde_json::to_string(&live).unwrap()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

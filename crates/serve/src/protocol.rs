@@ -81,7 +81,9 @@ impl From<std::io::Error> for ProtocolError {
     }
 }
 
-/// Write one raw frame (length prefix + payload).
+/// Write one raw frame (length prefix + payload) with a single write, so
+/// a `TCP_NODELAY` socket sends it as one segment rather than a 4-byte
+/// prefix the reader wakes for and then the payload.
 ///
 /// # Errors
 /// [`ProtocolError::FrameTooLarge`] when the payload exceeds
@@ -91,8 +93,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge(len));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -21,6 +21,31 @@ fn frame_layout_is_length_prefix_then_payload() {
 }
 
 #[test]
+fn a_frame_goes_out_in_one_write() {
+    /// Records each `write` call separately.
+    struct Writes(Vec<Vec<u8>>);
+    impl std::io::Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut w = Writes(Vec::new());
+    write_frame(&mut w, b"hello").unwrap();
+    assert_eq!(w.0, [b"\x00\x00\x00\x05hello".to_vec()]);
+    let ping = Request::bare("ping");
+    write_message(&mut w, &ping).unwrap();
+    assert_eq!(w.0.len(), 2);
+    assert_eq!(
+        &w.0[1][4..],
+        serde_json::to_string(&ping).unwrap().as_bytes()
+    );
+}
+
+#[test]
 fn frames_round_trip_including_empty() {
     for payload in [&b""[..], b"x", b"{\"op\":\"ping\"}", &[0u8; 1000]] {
         let mut wire = Vec::new();

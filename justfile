@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
+ci: fmt-check clippy build test doctest doc perfbench-test smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
 
 fmt:
     cargo fmt
@@ -23,6 +23,14 @@ test:
 
 doctest:
     cargo test --workspace --doc -q
+
+# The repository benchmark's self-tests (perfbench/ is its own package,
+# outside the workspace). It reads BENCHMARK.json and its own result
+# lines through the vendored serde_json, so a codec change can break it
+# without any workspace test noticing (mirrors the "Perfbench tests" CI
+# step).
+perfbench-test:
+    cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Rustdoc must build warnings-clean (broken intra-doc links, missing
 # docs on #![warn(missing_docs)] crates).
