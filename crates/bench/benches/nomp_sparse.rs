@@ -20,7 +20,8 @@
 //! so CI can exercise every bench body without touching the baseline.
 
 use comparesets_bench::{BenchReport, Measurement};
-use comparesets_linalg::{nomp, nomp_path, CscMatrix, Matrix, NompOptions};
+use comparesets_core::SolveCtl;
+use comparesets_linalg::{nomp_path, CscMatrix, DesignMatrix, Matrix, NompOptions, NompWorkspace};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -88,6 +89,11 @@ fn design_at_density(
     (dense, sparse, b)
 }
 
+/// One unmetered budget-path pursuit on a fresh workspace.
+fn pursue<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) {
+    black_box(nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default()).unwrap());
+}
+
 fn bench_nomp(c: &mut Criterion) {
     let mut g = c.benchmark_group("nomp_dense_vs_sparse");
     g.sample_size(10);
@@ -97,12 +103,12 @@ fn bench_nomp(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("dense", format!("{rows}x{cols}")),
             &dense,
-            |bch, m| bch.iter(|| black_box(nomp(m, &b, opts).unwrap())),
+            |bch, m| bch.iter(|| pursue(m, &b, opts)),
         );
         g.bench_with_input(
             BenchmarkId::new("sparse", format!("{rows}x{cols}")),
             &sparse,
-            |bch, m| bch.iter(|| black_box(nomp(m, &b, opts).unwrap())),
+            |bch, m| bch.iter(|| pursue(m, &b, opts)),
         );
     }
     g.finish();
@@ -112,8 +118,8 @@ fn bench_nomp(c: &mut Criterion) {
 /// suite (`l_max = 7`, matching `parallel_solver`'s engine workloads).
 const L_MAX: usize = 7;
 
-fn path_sweep<M: comparesets_linalg::DesignMatrix>(a: &M, b: &[f64]) {
-    black_box(nomp_path(a, b, NompOptions::with_max_atoms(L_MAX)).unwrap());
+fn path_sweep<M: DesignMatrix>(a: &M, b: &[f64]) {
+    pursue(a, b, NompOptions::with_max_atoms(L_MAX));
 }
 
 /// The densities the crossover sweep visits: paper-sparse through fully

@@ -7,8 +7,9 @@
 //! times (minimum over samples, seconds) so PERFORMANCE.md numbers are
 //! reproducible from a single `cargo bench --bench parallel_solver`.
 //!
-//! The `alternation/*` group pits warm-started multi-sweep alternation
-//! against the cold engine (`SolveOptions::warm_start = false`) at
+//! The `alternation/*` group pits multi-sweep alternation with the
+//! per-item answer memos (`SolveOptions::warm_start`, the default)
+//! against solving every sweep from scratch (`warm_start = false`) at
 //! sweeps = 1..=4; the two are pinned to identical selections by
 //! `crates/core/tests/warm_start.rs`, so the delta is pure solver time.
 //!
@@ -19,9 +20,11 @@
 use comparesets_bench::{BenchReport, Measurement};
 use comparesets_core::{
     solve_comparesets_plus_sweeps_with, solve_comparesets_plus_with, solve_crs_with, SelectParams,
-    SolveOptions,
+    SolveCtl, SolveOptions,
 };
-use comparesets_linalg::{nomp_path, nomp_reference, CscMatrix, Matrix, NompOptions};
+use comparesets_linalg::{
+    nomp_path, nomp_reference, CscMatrix, Matrix, NompOptions, NompWorkspace,
+};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -65,7 +68,9 @@ fn naive_budget_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
 /// The new engine: one shared Gram-cached pursuit snapshotting every
 /// budget along the way.
 fn shared_path_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
-    black_box(nomp_path(a, b, NompOptions::with_max_atoms(l_max)).unwrap());
+    let opts = NompOptions::with_max_atoms(l_max);
+    let mut ws = NompWorkspace::new();
+    black_box(nomp_path(a, b, opts, &mut ws, SolveCtl::default()).unwrap());
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -108,10 +113,10 @@ fn bench_solvers(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm-started alternation against the cold engine: the same
-/// multi-sweep CompaReSetS+ solve with the per-item warm-start caches on
-/// (the default) and off. Sweep 1 measures pure warm-engine overhead;
-/// sweeps >= 2 measure the payoff once targets start repeating.
+/// Memoized alternation against solving from scratch: the same
+/// multi-sweep CompaReSetS+ solve with the per-item answer memos on (the
+/// default) and off. Sweep 1 measures the memos' bookkeeping overhead;
+/// sweeps >= 2 measure the payoff once regressions start repeating.
 fn bench_alternation(c: &mut Criterion) {
     let dataset = comparesets_bench::corpus();
     let ctx = comparesets_bench::instance(&dataset, 8);

@@ -8,6 +8,11 @@
 //!   items' current selections) and accept the re-selection only when it
 //!   lowers the per-item synchronized objective (lines 10–12).
 //!
+//! Every per-item regression — of CRS, of CompaReSetS, of a CompaReSetS+
+//! step, of an incremental re-selection — goes through one function,
+//! `regress_item`: memo lookup, task build, Integer-Regression, memo
+//! store.
+//!
 //! ## Parallel execution
 //!
 //! The per-item regressions of CompaReSetS are independent, so the
@@ -21,16 +26,14 @@
 //! step reuses one solver workspace across the whole sweep phase).
 
 use comparesets_linalg::vector::sq_distance;
-use comparesets_linalg::{with_pooled_workspace, NompWorkspace};
-use rayon::prelude::*;
+use comparesets_linalg::NompWorkspace;
 
 use crate::error::{validate_params, CoreError};
-use crate::instance::{InstanceContext, Selection};
+use crate::instance::{InstanceContext, Item, Selection};
 use crate::integer_regression::{
-    integer_regression_ctl, integer_regression_session_ctl, try_integer_regression_ctl,
-    try_integer_regression_session_ctl, DedupColumns, RegressionTask, RegressionWarm,
+    best_single_review, integer_regression, DedupColumns, RegressionTask, RegressionWarm,
 };
-use crate::{SelectParams, SolveOptions, SolverMetrics};
+use crate::{per_item, SelectParams, SolveOptions, SolverMetrics};
 
 /// Post-batch deadline classification shared by the checked solvers: when
 /// the options' token fired during the solve, the per-item results are
@@ -53,6 +56,95 @@ pub(crate) fn classify_deadline(
     })
 }
 
+/// Integer-Regression for item `i` against `Υ = [τᵢ; w₁t₁; …]`, the
+/// `aspect_targets` blocks `(tₖ, wₖ)` (Algorithm 1 lines 6–12): the
+/// per-item problem of CRS (no blocks), CompaReSetS (`[(Γ, λ)]`) and a
+/// CompaReSetS+ step (`[(Γ, λ), (φ(Sⱼ), μ), …]`), scored by `cost`.
+///
+/// With a `memo` — the item's [`RegressionWarm`] and its current column
+/// grouping — a regression whose inputs repeat the memo's is answered
+/// from it before any matrix is built, and every other completed
+/// regression is remembered. A regression cut by the options' token is
+/// never remembered: its answer is an anytime iterate, not the completed
+/// answer a memo hit stands for.
+///
+/// # Errors
+/// [`CoreError::DimensionMismatch`] on malformed target blocks;
+/// [`CoreError::Solver`] (tagged with `i`) when the relaxation fails.
+#[allow(clippy::too_many_arguments)] // the blocks, budget and objective of one regression
+pub(crate) fn regress_item<F: Fn(&Selection) -> f64>(
+    ctx: &InstanceContext,
+    i: usize,
+    aspect_targets: &[(&[f64], f64)],
+    m: usize,
+    cost: &F,
+    opts: &SolveOptions,
+    ws: &mut NompWorkspace,
+    memo: Option<(&mut RegressionWarm, &DedupColumns)>,
+) -> Result<Selection, CoreError> {
+    let (space, item, tau) = (ctx.space(), ctx.item(i), ctx.tau(i));
+    if let Some((warm, dedup)) = &memo {
+        let target = RegressionTask::try_stack_target(space, tau, aspect_targets)?;
+        if let Some(selection) = warm.recall(&target, aspect_targets, m, dedup, opts.metrics_ref())
+        {
+            return Ok(selection);
+        }
+    }
+    let task = RegressionTask::try_build_with(space, item, tau, aspect_targets, opts.backend)?;
+    let selection = integer_regression(&task, m, cost, ws, opts.ctl())
+        .map_err(|source| CoreError::Solver { item: i, source })?;
+    if let Some((warm, _)) = memo {
+        if !opts.cancel_fired() {
+            warm.remember(task, aspect_targets, m, &selection, ws.iterations());
+        }
+    }
+    Ok(selection)
+}
+
+/// The unchecked solvers' answer for `item`: the regression's selection,
+/// or the single review minimising `cost` when the regression failed —
+/// they degrade instead of failing.
+pub(crate) fn or_single_review<F: Fn(&Selection) -> f64>(
+    solved: Result<Selection, CoreError>,
+    item: &Item,
+    m: usize,
+    cost: &F,
+) -> Selection {
+    solved.unwrap_or_else(|_| best_single_review(&DedupColumns::build(item), m, cost))
+}
+
+/// One CompaReSetS+ step for item `i` (Algorithm 1 lines 6–12) against
+/// `other_phis`, the other items' φ(Sⱼ) under their current selections:
+/// the re-selection candidate, and the per-item synchronized objective it
+/// minimises and the accept test compares (line 10: Equation 3 plus
+/// `μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ))`).
+pub(crate) fn plus_step<'a>(
+    ctx: &'a InstanceContext,
+    i: usize,
+    other_phis: &'a [&'a [f64]],
+    params: &SelectParams,
+    opts: &SolveOptions,
+    ws: &mut NompWorkspace,
+    memo: Option<(&mut RegressionWarm, &DedupColumns)>,
+) -> (
+    Result<Selection, CoreError>,
+    impl Fn(&Selection) -> f64 + 'a,
+) {
+    let (lambda, mu) = (params.lambda, params.mu);
+    let cost = move |sel: &Selection| {
+        let base = crate::objective::item_objective(ctx, i, sel, lambda);
+        let phi = ctx.space().phi(ctx.item(i), &sel.indices);
+        let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
+        base + mu * mu * coupling
+    };
+    // Υ blocks: Γ with weight λ, then each φ(Sⱼ) with weight μ.
+    let mut blocks: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
+    blocks.push((ctx.gamma(), lambda));
+    blocks.extend(other_phis.iter().map(|&p| (p, mu)));
+    let solved = regress_item(ctx, i, &blocks, params.m, &cost, opts, ws, memo);
+    (solved, cost)
+}
+
 /// Solve CompaReSetS (Problem 1): independent Integer-Regression per item
 /// with target `[τᵢ; λΓ]`.
 pub fn solve_comparesets(ctx: &InstanceContext, params: &SelectParams) -> Vec<Selection> {
@@ -68,35 +160,12 @@ pub fn solve_comparesets_with(
     params: &SelectParams,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    let lambda = params.lambda;
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let gamma = ctx.gamma();
-        let task =
-            RegressionTask::build_with(ctx.space(), item, tau, &[(gamma, lambda)], opts.backend);
-        integer_regression_ctl(
-            &task,
-            params.m,
-            |sel| crate::objective::item_objective(ctx, i, sel, lambda),
-            ws,
-            ctl,
-        )
-    };
-    if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    }
+    per_item(ctx.num_items(), opts, |i, ws| {
+        let cost = |sel: &Selection| crate::objective::item_objective(ctx, i, sel, params.lambda);
+        let blocks = [(ctx.gamma(), params.lambda)];
+        let solved = regress_item(ctx, i, &blocks, params.m, &cost, opts, ws, None);
+        or_single_review(solved, ctx.item(i), params.m, &cost)
+    })
 }
 
 /// Checked variant of [`solve_comparesets_with`]: validates the parameters
@@ -121,41 +190,11 @@ pub fn solve_comparesets_checked(
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
     validate_params(params)?;
-    let lambda = params.lambda;
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| -> Result<Selection, CoreError> {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let gamma = ctx.gamma();
-        let task = RegressionTask::try_build_with(
-            ctx.space(),
-            item,
-            tau,
-            &[(gamma, lambda)],
-            opts.backend,
-        )?;
-        try_integer_regression_ctl(
-            &task,
-            params.m,
-            |sel| crate::objective::item_objective(ctx, i, sel, lambda),
-            ws,
-            ctl,
-        )
-        .map_err(|source| CoreError::Solver { item: i, source })
-    };
-    let slots = if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    };
+    let slots = per_item(ctx.num_items(), opts, |i, ws| {
+        let cost = |sel: &Selection| crate::objective::item_objective(ctx, i, sel, params.lambda);
+        let blocks = [(ctx.gamma(), params.lambda)];
+        regress_item(ctx, i, &blocks, params.m, &cost, opts, ws, None)
+    });
     classify_deadline(slots, opts)
 }
 
@@ -195,27 +234,23 @@ pub fn solve_comparesets_plus_sweeps_with(
     sweeps: usize,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    let mut warm: Vec<RegressionWarm> = (0..ctx.num_items())
-        .map(|_| RegressionWarm::new())
-        .collect();
+    let mut warm = vec![RegressionWarm::new(); ctx.num_items()];
     solve_comparesets_plus_sweeps_warm_with(ctx, params, sweeps, opts, &mut warm)
 }
 
-/// [`solve_comparesets_plus_sweeps_with`] with caller-held warm states —
+/// [`solve_comparesets_plus_sweeps_with`] with caller-held answer memos —
 /// the extraction/re-injection point for cross-call reuse (the serving
 /// session cache, ARCHITECTURE.md §10).
 ///
 /// `warm` must hold one [`RegressionWarm`] per item, in item order. The
-/// states are read *and updated in place*: on return each slot carries the
-/// trajectory of its item's last re-solve, so a caller holding them across
-/// calls lets a repeat or near-repeat solve start from validated reuse
-/// instead of from scratch. Every level of reuse is validated against the
-/// live inputs (ARCHITECTURE.md §9), so selections are byte-identical to a
-/// cold solve whatever states are passed in — fresh states reproduce
-/// [`solve_comparesets_plus_sweeps_with`] exactly, and stale states from a
-/// different instance shape simply fail validation and solve cold. With
-/// [`SolveOptions::warm_start`] off the states are neither read nor
-/// written.
+/// memos are read *and updated in place*: on return each slot holds its
+/// item's last completed regression, so a caller holding them across
+/// calls lets a repeat of that regression skip the solve. A memo answers
+/// only a regression whose target, block weights, budget and caps repeat
+/// bit for bit (ARCHITECTURE.md §9), so selections are byte-identical to
+/// a cold solve whatever memos are passed in, provided each slot belongs
+/// to the same item. With [`SolveOptions::warm_start`] off the memos are
+/// neither read nor written.
 ///
 /// # Panics
 /// Panics when `warm.len() != ctx.num_items()`.
@@ -231,126 +266,16 @@ pub fn solve_comparesets_plus_sweeps_warm_with(
         ctx.num_items(),
         "one RegressionWarm per item required"
     );
-    let (lambda, mu) = (params.lambda, params.mu);
     // Algorithm 1 input: solutions of CompaReSetS.
-    let mut selections = solve_comparesets_with(ctx, params, opts);
-    let n = ctx.num_items();
-    if n <= 1 || mu == 0.0 {
+    let selections = solve_comparesets_with(ctx, params, opts);
+    if ctx.num_items() <= 1 || params.mu == 0.0 {
         // Coupling vanishes; CompaReSetS is already optimal for Eq. 5.
         return selections;
     }
-
-    // One pursuit workspace serves every per-item step of every sweep, and
-    // each item keeps a warm-start cache across sweeps: once the other
-    // items' selections stop changing, an item's extended target Υ repeats
-    // verbatim and the re-solve is served from cache (ARCHITECTURE.md §9).
-    let metrics = opts.metrics_ref();
-    let ctl = opts.ctl();
-    let span = tracing::debug_span!("comparesets_plus_alternation", items = n, sweeps = sweeps);
-    let _span_guard = span.enter();
-    let mut ws = NompWorkspace::new();
-    // The items are immutable for the whole solve, so each one's column
-    // grouping is computed once and shared by every warm reuse probe.
-    let dedups: Vec<DedupColumns> = if opts.warm_start {
-        (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
-    } else {
-        Vec::new()
-    };
-    // φ(Sⱼ) under each item's current selection, refreshed only when an
-    // accept changes the selection — φ is a pure function of the
-    // selection, so the cache is bit-identical to recomputing per round.
-    let mut phis: Vec<Vec<f64>> = (0..n)
-        .map(|j| ctx.space().phi(ctx.item(j), &selections[j].indices))
-        .collect();
-    'sweeps: for _ in 0..sweeps {
-        for i in 0..n {
-            // Cancellation granularity: one poll per alternation round.
-            // Stopping here keeps the current selections — each completed
-            // round only ever improved them (accept-only-if-better), so
-            // the early exit is the anytime iterate.
-            if ctl.is_cancelled() {
-                break 'sweeps;
-            }
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.alternation_rounds);
-            }
-            // φ(Sⱼ) of every other item, under its *current* selection.
-            let other_phis: Vec<&[f64]> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| phis[j].as_slice())
-                .collect();
-
-            // Per-item synchronized objective used for accept/reject
-            // (Algorithm 1 line 10): Eq. 3 plus μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ)).
-            let item_plus_cost = |sel: &Selection| {
-                let base = crate::objective::item_objective(ctx, i, sel, lambda);
-                let phi = ctx.space().phi(ctx.item(i), &sel.indices);
-                let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
-                base + mu * mu * coupling
-            };
-
-            // Υ blocks: Γ with weight λ, then each φ(Sⱼ) with weight μ.
-            let mut aspect_targets: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
-            aspect_targets.push((ctx.gamma(), lambda));
-            for p in &other_phis {
-                aspect_targets.push((p, mu));
-            }
-            // Warm fast path: probe the cache against the stacked target
-            // before paying for the design-matrix build — on stabilised
-            // rounds the whole re-solve reduces to this comparison.
-            let reused = if opts.warm_start {
-                RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                    .ok()
-                    .and_then(|t| warm[i].probe_reuse(&dedups[i], &t, params.m, metrics))
-            } else {
-                None
-            };
-            let candidate = if let Some(sel) = reused {
-                sel
-            } else if opts.warm_start {
-                // Session path: the design matrix is parked inside
-                // warm[i] between rounds, so stabilised sweeps skip the
-                // O(q·rows) assembly and only re-stack the target.
-                integer_regression_session_ctl(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                    params.m,
-                    item_plus_cost,
-                    &mut ws,
-                    &mut warm[i],
-                    ctl,
-                )
-            } else {
-                let task = RegressionTask::build_with(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                );
-                integer_regression_ctl(&task, params.m, item_plus_cost, &mut ws, ctl)
-            };
-
-            // A candidate equal to the current selection can never win the
-            // strict `<` accept test (the objective is a pure function of
-            // the selection), so the two cost evaluations are skipped —
-            // the accept decision is unchanged.
-            if candidate != selections[i]
-                && item_plus_cost(&candidate) < item_plus_cost(&selections[i])
-            {
-                if let Some(mm) = metrics {
-                    SolverMetrics::incr(&mm.alternation_accepts);
-                }
-                tracing::trace!("alternation step accepted a better selection for item {i}");
-                selections[i] = candidate;
-                phis[i] = ctx.space().phi(ctx.item(i), &selections[i].indices);
-            }
-        }
-    }
-    selections
+    let mut slots: Vec<Result<Selection, CoreError>> = selections.into_iter().map(Ok).collect();
+    alternate(ctx, params, sweeps, opts, warm, &mut slots, false);
+    // The unchecked sweeps never fail a slot.
+    slots.into_iter().map(Result::unwrap_or_default).collect()
 }
 
 /// Checked variant of [`solve_comparesets_plus_sweeps_with`].
@@ -377,122 +302,101 @@ pub fn solve_comparesets_plus_checked(
     sweeps: usize,
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
-    let (lambda, mu) = (params.lambda, params.mu);
     let mut slots = solve_comparesets_checked(ctx, params, opts)?;
     let n = ctx.num_items();
-    if n <= 1 || mu == 0.0 {
-        return classify_deadline(slots, opts);
+    if n > 1 && params.mu != 0.0 {
+        let mut warm = vec![RegressionWarm::new(); n];
+        alternate(ctx, params, sweeps, opts, &mut warm, &mut slots, true);
     }
+    classify_deadline(slots, opts)
+}
 
+/// The alternating sweeps of Algorithm 1 over `slots` (one per item, in
+/// item order), shared by the unchecked and checked CompaReSetS+ solvers.
+///
+/// Gauss–Seidel: item `i` regresses against the other items' *current*
+/// selections and takes the candidate only when it strictly lowers its
+/// synchronized objective. A failed slot (a checked seed error) is
+/// skipped and contributes no coupling. A failed step keeps the current
+/// selection when `strict` (the checked contract) and otherwise proposes
+/// the best single review (the unchecked solvers' fallback). With warm
+/// starts on, `warm[i]` memoizes item `i`'s regressions.
+fn alternate(
+    ctx: &InstanceContext,
+    params: &SelectParams,
+    sweeps: usize,
+    opts: &SolveOptions,
+    warm: &mut [RegressionWarm],
+    slots: &mut [Result<Selection, CoreError>],
+    strict: bool,
+) {
+    let n = ctx.num_items();
     let metrics = opts.metrics_ref();
     let ctl = opts.ctl();
+    let span = tracing::debug_span!("comparesets_plus_alternation", items = n, sweeps = sweeps);
+    let _span_guard = span.enter();
+    // One pursuit workspace serves every per-item step of every sweep.
     let mut ws = NompWorkspace::new();
-    let mut warm: Vec<RegressionWarm> = (0..n).map(|_| RegressionWarm::new()).collect();
+    // The items are immutable for the whole solve, so each one's column
+    // grouping is computed once and shared by every memo lookup.
     let dedups: Vec<DedupColumns> = if opts.warm_start {
         (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
     } else {
         Vec::new()
     };
     // φ(Sⱼ) per healthy slot (None for failed items), refreshed only when
-    // an accept changes the selection — bit-identical to recomputing.
-    let mut phis: Vec<Option<Vec<f64>>> = (0..n)
-        .map(|j| {
-            slots[j]
-                .as_ref()
+    // an accept changes the selection — φ is a pure function of the
+    // selection, so the cache is bit-identical to recomputing per round.
+    let mut phis: Vec<Option<Vec<f64>>> = slots
+        .iter()
+        .enumerate()
+        .map(|(j, slot)| {
+            slot.as_ref()
                 .ok()
                 .map(|sel| ctx.space().phi(ctx.item(j), &sel.indices))
         })
         .collect();
     'sweeps: for _ in 0..sweeps {
         for i in 0..n {
+            // Cancellation granularity: one poll per alternation round.
+            // Stopping here keeps the current selections — each completed
+            // round only ever improved them (accept-only-if-better), so
+            // the early exit is the anytime iterate.
             if ctl.is_cancelled() {
                 break 'sweeps;
             }
-            if slots[i].is_err() {
+            let Ok(current) = &slots[i] else {
                 continue;
-            }
+            };
             if let Some(mm) = metrics {
                 SolverMetrics::incr(&mm.alternation_rounds);
             }
-            // φ(Sⱼ) of every other *healthy* item under its current
-            // selection; failed items contribute no coupling.
             let other_phis: Vec<&[f64]> = (0..n)
                 .filter(|&j| j != i)
                 .filter_map(|j| phis[j].as_deref())
                 .collect();
-
-            let item_plus_cost = |sel: &Selection| {
-                let base = crate::objective::item_objective(ctx, i, sel, lambda);
-                let phi = ctx.space().phi(ctx.item(i), &sel.indices);
-                let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
-                base + mu * mu * coupling
+            let memo = dedups.get(i).map(|dedup| (&mut warm[i], dedup));
+            let (solved, cost) = plus_step(ctx, i, &other_phis, params, opts, &mut ws, memo);
+            let candidate = match solved {
+                Err(_) if strict => continue,
+                solved => or_single_review(solved, ctx.item(i), params.m, &cost),
             };
-
-            let current = match &slots[i] {
-                Ok(sel) => sel.clone(),
-                Err(_) => continue,
-            };
-
-            let mut aspect_targets: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
-            aspect_targets.push((ctx.gamma(), lambda));
-            for p in &other_phis {
-                aspect_targets.push((p, mu));
-            }
-            let reused = if opts.warm_start {
-                RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                    .ok()
-                    .and_then(|t| warm[i].probe_reuse(&dedups[i], &t, params.m, metrics))
-            } else {
-                None
-            };
-            // A failed build or solve keeps the current valid selection
-            // (accept-only-if-better degrades gracefully), so both error
-            // channels collapse to `None` here.
-            let solved = if let Some(sel) = reused {
-                Some(sel)
-            } else if opts.warm_start {
-                try_integer_regression_session_ctl(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                    params.m,
-                    item_plus_cost,
-                    &mut ws,
-                    &mut warm[i],
-                    ctl,
-                )
-                .ok()
-            } else {
-                match RegressionTask::try_build_with(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                ) {
-                    Ok(task) => {
-                        try_integer_regression_ctl(&task, params.m, item_plus_cost, &mut ws, ctl)
-                            .ok()
-                    }
-                    Err(_) => None,
+            // A candidate equal to the current selection can never win the
+            // strict `<` accept test (the objective is a pure function of
+            // the selection), so the two cost evaluations are skipped —
+            // the accept decision is unchanged.
+            let accept = candidate != *current && cost(&candidate) < cost(current);
+            drop(cost); // releases its borrow of `phis`
+            if accept {
+                if let Some(mm) = metrics {
+                    SolverMetrics::incr(&mm.alternation_accepts);
                 }
-            };
-            if let Some(candidate) = solved {
-                // Equal candidates can never win the strict `<` accept
-                // test; skip both cost evaluations (decision unchanged).
-                if candidate != current && item_plus_cost(&candidate) < item_plus_cost(&current) {
-                    if let Some(mm) = metrics {
-                        SolverMetrics::incr(&mm.alternation_accepts);
-                    }
-                    phis[i] = Some(ctx.space().phi(ctx.item(i), &candidate.indices));
-                    slots[i] = Ok(candidate);
-                }
+                tracing::trace!("alternation step accepted a better selection for item {i}");
+                phis[i] = Some(ctx.space().phi(ctx.item(i), &candidate.indices));
+                slots[i] = Ok(candidate);
             }
         }
     }
-    classify_deadline(slots, opts)
 }
 
 #[cfg(test)]
@@ -664,6 +568,36 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(legacy_plus, checked_plus);
+    }
+
+    #[test]
+    fn cancelled_pursuit_never_populates_the_memo() {
+        use crate::CancelToken;
+        use std::sync::Arc;
+        let ctx = figure2_ctx();
+        let p = params(3, 1.0, 1.0);
+        let seed = solve_comparesets(&ctx, &p);
+        let others: Vec<Vec<f64>> = (1..3)
+            .map(|j| ctx.space().phi(ctx.item(j), &seed[j].indices))
+            .collect();
+        let other_phis: Vec<&[f64]> = others.iter().map(Vec::as_slice).collect();
+        let dedup = DedupColumns::build(ctx.item(0));
+        let mut ws = NompWorkspace::new();
+        let mut memo = RegressionWarm::new();
+        // Fire after one poll: the pursuit stops with a truncated path.
+        let cut = SolveOptions::default().with_cancel(Arc::new(CancelToken::cancel_after(1)));
+        let memo_in = Some((&mut memo, &dedup));
+        let (truncated, _) = plus_step(&ctx, 0, &other_phis, &p, &cut, &mut ws, memo_in);
+        assert!(truncated.is_ok());
+        assert_eq!(memo.memo_bytes(), 0, "a cancelled step was memoized");
+        // The next (uncancelled) step must compute the real answer, not
+        // echo the truncated one, and memoize it.
+        let opts = SolveOptions::default();
+        let memo_in = Some((&mut memo, &dedup));
+        let (full, _) = plus_step(&ctx, 0, &other_phis, &p, &opts, &mut ws, memo_in);
+        let (cold, _) = plus_step(&ctx, 0, &other_phis, &p, &opts, &mut ws, None);
+        assert_eq!(full.unwrap(), cold.unwrap());
+        assert!(memo.memo_bytes() > 0);
     }
 
     #[test]

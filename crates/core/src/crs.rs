@@ -7,16 +7,11 @@
 //! with a single item and λ = 0. It shares the Integer-Regression
 //! machinery but regresses on the opinion block only.
 
-use crate::comparesets::classify_deadline;
+use crate::comparesets::{classify_deadline, or_single_review, regress_item};
 use crate::error::CoreError;
 use crate::instance::{InstanceContext, Selection};
-use crate::integer_regression::{
-    integer_regression_ctl, try_integer_regression_ctl, RegressionTask,
-};
-use crate::SolveOptions;
+use crate::{per_item, SolveOptions};
 use comparesets_linalg::vector::sq_distance;
-use comparesets_linalg::{with_pooled_workspace, NompWorkspace};
-use rayon::prelude::*;
 
 /// Run CRS on every item of the instance independently.
 pub fn solve_crs(ctx: &InstanceContext, m: usize) -> Vec<Selection> {
@@ -27,32 +22,12 @@ pub fn solve_crs(ctx: &InstanceContext, m: usize) -> Vec<Selection> {
 /// independent and fan out over rayon when [`SolveOptions::parallel`] is
 /// set, collected in item order (identical results either way).
 pub fn solve_crs_with(ctx: &InstanceContext, m: usize, opts: &SolveOptions) -> Vec<Selection> {
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let task = RegressionTask::build_with(ctx.space(), item, tau, &[], opts.backend);
-        integer_regression_ctl(
-            &task,
-            m,
-            |sel| sq_distance(tau, &ctx.space().pi(item, &sel.indices)),
-            ws,
-            ctl,
-        )
-    };
-    if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    }
+    per_item(ctx.num_items(), opts, |i, ws| {
+        let cost =
+            |sel: &Selection| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices));
+        let solved = regress_item(ctx, i, &[], m, &cost, opts, ws, None);
+        or_single_review(solved, ctx.item(i), m, &cost)
+    })
 }
 
 /// Checked variant of [`solve_crs_with`]: per-item failure isolation with
@@ -72,33 +47,11 @@ pub fn solve_crs_checked(
     if m == 0 {
         return Err(CoreError::InvalidParams("m must be at least 1"));
     }
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| -> Result<Selection, CoreError> {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let task = RegressionTask::try_build_with(ctx.space(), item, tau, &[], opts.backend)?;
-        try_integer_regression_ctl(
-            &task,
-            m,
-            |sel| sq_distance(tau, &ctx.space().pi(item, &sel.indices)),
-            ws,
-            ctl,
-        )
-        .map_err(|source| CoreError::Solver { item: i, source })
-    };
-    let slots = if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    };
+    let slots = per_item(ctx.num_items(), opts, |i, ws| {
+        let cost =
+            |sel: &Selection| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices));
+        regress_item(ctx, i, &[], m, &cost, opts, ws, None)
+    });
     classify_deadline(slots, opts)
 }
 

@@ -17,16 +17,11 @@
 //! drift so callers can trigger [`IncrementalSession::refresh`] on a
 //! budget.
 
-use crate::comparesets::solve_comparesets_plus_with;
+use crate::comparesets::{or_single_review, plus_step, solve_comparesets_plus_with};
 use crate::instance::{InstanceContext, ReviewFeature, Selection};
-use crate::integer_regression::{
-    integer_regression_ctl, integer_regression_session_ctl, DedupColumns, RegressionTask,
-    RegressionWarm,
-};
 use crate::objective::comparesets_plus_objective;
 use crate::{SelectParams, SolveOptions};
 use comparesets_data::ReviewId;
-use comparesets_linalg::vector::sq_distance;
 use comparesets_linalg::NompWorkspace;
 
 /// One corpus mutation addressed to a session item — the in-memory twin
@@ -71,11 +66,6 @@ pub struct IncrementalSession {
     updates_since_refresh: usize,
     /// Pursuit scratch reused by every per-review update and refresh.
     workspace: NompWorkspace,
-    /// Per-item warm-start caches carried across re-selections; the
-    /// affected item's cache is invalidated on ingest (its candidate set
-    /// changed), the others keep theirs and are re-validated by the
-    /// engine against the new target (ARCHITECTURE.md §9).
-    warm: Vec<RegressionWarm>,
 }
 
 impl IncrementalSession {
@@ -88,9 +78,6 @@ impl IncrementalSession {
     /// apply to the initial solve and every [`IncrementalSession::refresh`].
     pub fn with_options(ctx: InstanceContext, params: SelectParams, opts: SolveOptions) -> Self {
         let selections = solve_comparesets_plus_with(&ctx, &params, &opts);
-        let warm = (0..ctx.num_items())
-            .map(|_| RegressionWarm::new())
-            .collect();
         IncrementalSession {
             ctx,
             params,
@@ -98,7 +85,6 @@ impl IncrementalSession {
             selections,
             updates_since_refresh: 0,
             workspace: NompWorkspace::new(),
-            warm,
         }
     }
 
@@ -134,9 +120,6 @@ impl IncrementalSession {
     pub fn add_review(&mut self, i: usize, id: ReviewId, feature: ReviewFeature) {
         assert!(i < self.ctx.num_items(), "item index out of range");
         self.ctx.push_review(i, id, feature);
-        // The appended review reshapes item i's candidate matrix; drop its
-        // warm trajectory rather than relying on engine-side validation.
-        self.warm[i].invalidate();
         self.reselect_item(i);
         self.updates_since_refresh += 1;
     }
@@ -151,7 +134,6 @@ impl IncrementalSession {
     pub fn edit_review(&mut self, i: usize, id: ReviewId, feature: ReviewFeature) {
         assert!(i < self.ctx.num_items(), "item index out of range");
         self.ctx.edit_review(i, id, feature);
-        self.warm[i].invalidate();
         self.reselect_item(i);
         self.updates_since_refresh += 1;
     }
@@ -187,7 +169,6 @@ impl IncrementalSession {
             // incumbent.
             self.selections[i] = Selection::new(vec![0]);
         }
-        self.warm[i].invalidate();
         self.reselect_item(i);
         self.updates_since_refresh += 1;
     }
@@ -237,84 +218,32 @@ impl IncrementalSession {
     /// current selections; keeps the better of old/new selection. (The
     /// old selection's indices are valid by construction: appends and
     /// edits leave positions unchanged, deletes remap first.)
+    ///
+    /// The step runs without an answer memo: it only ever follows a
+    /// mutation of item `i`, after which a memo of that item would have
+    /// to be dropped anyway.
     fn reselect_item(&mut self, i: usize) {
         // A fired session token skips the re-selection entirely: the old
         // selection stays valid and is the anytime iterate.
         if self.opts.ctl().is_cancelled() {
             return;
         }
-        let (lambda, mu) = (self.params.lambda, self.params.mu);
-        let n = self.ctx.num_items();
-        let other_phis: Vec<Vec<f64>> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| {
-                self.ctx
-                    .space()
-                    .phi(self.ctx.item(j), &self.selections[j].indices)
-            })
-            .collect();
         let ctx = &self.ctx;
-        let cost = |sel: &Selection| {
-            let base = crate::objective::item_objective(ctx, i, sel, lambda);
-            let phi = ctx.space().phi(ctx.item(i), &sel.indices);
-            let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
-            base + mu * mu * coupling
-        };
-        let mut aspect_targets: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
-        aspect_targets.push((ctx.gamma(), lambda));
-        for p in &other_phis {
-            aspect_targets.push((p.as_slice(), mu));
-        }
-        // Warm fast path: an unchanged re-selection (e.g. a review arrived
-        // on another item without moving its selection) is served from the
-        // cache before the design matrix is rebuilt.
-        let reused = if self.opts.warm_start {
-            RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                .ok()
-                .and_then(|t| {
-                    let dedup = DedupColumns::build(ctx.item(i));
-                    self.warm[i].probe_reuse(&dedup, &t, self.params.m, self.opts.metrics_ref())
-                })
-        } else {
-            None
-        };
-        let candidate = if let Some(sel) = reused {
-            sel
-        } else if self.opts.warm_start {
-            // Session path: the parked design matrix survives ingest — an
-            // appended review whose feature forms a new dedup group grows
-            // the cached CSC by one column in place; a feature matching an
-            // existing group reuses the matrix untouched (only the caps
-            // changed). Edits and deletes fail the structural key and
-            // rebuild.
-            integer_regression_session_ctl(
-                ctx.space(),
-                ctx.item(i),
-                ctx.tau(i),
-                &aspect_targets,
-                self.opts.backend,
-                self.params.m,
-                cost,
-                &mut self.workspace,
-                &mut self.warm[i],
-                self.opts.ctl(),
-            )
-        } else {
-            let task = RegressionTask::build_with(
-                ctx.space(),
-                ctx.item(i),
-                ctx.tau(i),
-                &aspect_targets,
-                self.opts.backend,
-            );
-            integer_regression_ctl(
-                &task,
-                self.params.m,
-                cost,
-                &mut self.workspace,
-                self.opts.ctl(),
-            )
-        };
+        let others: Vec<Vec<f64>> = (0..ctx.num_items())
+            .filter(|&j| j != i)
+            .map(|j| ctx.space().phi(ctx.item(j), &self.selections[j].indices))
+            .collect();
+        let other_phis: Vec<&[f64]> = others.iter().map(Vec::as_slice).collect();
+        let (solved, cost) = plus_step(
+            ctx,
+            i,
+            &other_phis,
+            &self.params,
+            &self.opts,
+            &mut self.workspace,
+            None,
+        );
+        let candidate = or_single_review(solved, ctx.item(i), self.params.m, &cost);
         if cost(&candidate) < cost(&self.selections[i]) {
             self.selections[i] = candidate;
         }

@@ -24,12 +24,21 @@
 //!    evaluated by a caller-supplied closure so CRS, CompaReSetS, and
 //!    CompaReSetS+ can share this machinery with their own objectives.
 //!
+//! Every regression builds its design matrix and runs its pursuit from
+//! scratch, and the matrix is dropped when the call returns. The only
+//! state kept across calls is [`RegressionWarm`], a per-item memo of the
+//! last completed answer: the alternating sweeps of CompaReSetS+ repeat a
+//! regression verbatim once the other items' selections stop moving, and
+//! the memo answers such a repeat without building or solving anything
+//! (ARCHITECTURE.md §9).
+//!
 //! ```
-//! use comparesets_core::{integer_regression, RegressionTask};
+//! use comparesets_core::{integer_regression, RegressionTask, SolveCtl};
 //! use comparesets_core::instance::Item;
 //! use comparesets_core::space::{OpinionScheme, VectorSpace};
 //! use comparesets_data::{Polarity, ProductId, ReviewId};
 //! use comparesets_linalg::vector::sq_distance;
+//! use comparesets_linalg::NompWorkspace;
 //!
 //! // Three reviews over two aspects; τ/Γ are the full-set profiles.
 //! let item = Item::from_mentions(
@@ -45,16 +54,17 @@
 //! let (tau, gamma) = (space.pi(&item, &all), space.phi(&item, &all));
 //!
 //! let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-//! let sel = integer_regression(&task, 2, |s| {
+//! let evaluate = |s: &comparesets_core::Selection| {
 //!     sq_distance(&tau, &space.pi(&item, &s.indices))
 //!         + sq_distance(&gamma, &space.phi(&item, &s.indices))
-//! });
+//! };
+//! let sel = integer_regression(&task, 2, evaluate, &mut NompWorkspace::new(), SolveCtl::default())
+//!     .unwrap();
 //! assert!(!sel.is_empty() && sel.len() <= 2);
 //! ```
 
 use comparesets_linalg::{
-    nomp_path_ctl, nomp_path_warm, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions,
-    NompWorkspace, SolveError, WarmState,
+    nomp_path, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions, NompWorkspace, SolveError,
 };
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
@@ -191,15 +201,6 @@ impl TaskMatrix {
     /// Whether this task holds the CSC representation.
     pub fn is_sparse(&self) -> bool {
         matches!(self, TaskMatrix::Sparse(_))
-    }
-
-    /// Resident bytes of the held representation (capacities, not
-    /// lengths). Summed per shard by the serving daemon's `health` op.
-    pub fn memory_bytes(&self) -> u64 {
-        match self {
-            TaskMatrix::Sparse(m) => m.memory_bytes(),
-            TaskMatrix::Dense(m) => m.memory_bytes(),
-        }
     }
 }
 
@@ -357,26 +358,8 @@ impl RegressionTask {
         aspect_targets: &[(&[f64], f64)],
         backend: MatrixBackend,
     ) -> Result<Self, CoreError> {
-        let z = space.num_aspects();
-        let od = space.opinion_dim();
-        if opinion_target.len() != od {
-            return Err(CoreError::DimensionMismatch {
-                context: "RegressionTask opinion target",
-                expected: od,
-                actual: opinion_target.len(),
-            });
-        }
-        for (t, _) in aspect_targets {
-            if t.len() != z {
-                return Err(CoreError::DimensionMismatch {
-                    context: "RegressionTask aspect target",
-                    expected: z,
-                    actual: t.len(),
-                });
-            }
-        }
+        let target = Self::try_stack_target(space, opinion_target, aspect_targets)?;
         let dedup = DedupColumns::build(item);
-        let rows = od + z * aspect_targets.len();
         // Build columns sparsely: only the mentioned opinion slots and the
         // mentioned aspects of each review are non-zero.
         let columns: Vec<Vec<(usize, f64)>> = dedup
@@ -384,12 +367,7 @@ impl RegressionTask {
             .iter()
             .map(|group| column_entries(space, &item.features[group[0]], aspect_targets))
             .collect();
-        let matrix = assemble_matrix(rows, &columns, backend)?;
-        let mut target = Vec::with_capacity(rows);
-        target.extend_from_slice(opinion_target);
-        for &(t, w) in aspect_targets {
-            target.extend(t.iter().map(|v| w * v));
-        }
+        let matrix = assemble_matrix(target.len(), &columns, backend)?;
         Ok(RegressionTask {
             matrix,
             target,
@@ -400,9 +378,9 @@ impl RegressionTask {
     /// Stack the pre-weighted target vector Υ without building the design
     /// matrix — the cheap half of [`RegressionTask::try_build`] (the
     /// matrix costs `O(q·(od + z·blocks))`, the target only
-    /// `O(od + z·blocks)`). Warm re-solve probes use this to test cache
-    /// validity before paying for the matrix; the vector is bit-identical
-    /// to the `target` field `try_build` would produce.
+    /// `O(od + z·blocks)`). The per-item answer memo ([`RegressionWarm`])
+    /// keys on this vector before any matrix is built; it is bit-identical
+    /// to the `target` field `try_build` produces.
     ///
     /// # Errors
     /// [`CoreError::DimensionMismatch`] exactly as
@@ -441,9 +419,7 @@ impl RegressionTask {
 
 /// The sparse `(row, value)` entries of one design-matrix column: the
 /// review's non-zero opinion slots, then its mentioned aspects weighted
-/// per target block. Shared by the batch builder and the in-place column
-/// growth of the warm-held matrix cache, so grown and rebuilt matrices
-/// are entry-for-entry identical.
+/// per target block.
 fn column_entries(
     space: &VectorSpace,
     f: &ReviewFeature,
@@ -577,6 +553,42 @@ fn round_with_caps(x_hat: &[f64], s: usize, caps: &[usize]) -> Option<Vec<usize>
     }
 }
 
+/// Keep `sel` in `best` when it fits the budget `m` and strictly beats the
+/// incumbent under `evaluate`.
+fn consider<F>(best: &mut Option<(f64, Selection)>, sel: Selection, m: usize, evaluate: &mut F)
+where
+    F: FnMut(&Selection) -> f64,
+{
+    if sel.len() > m {
+        return;
+    }
+    let cost = evaluate(&sel);
+    if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+        *best = Some((cost, sel));
+    }
+}
+
+/// The single review (one per dedup group) minimising `evaluate`; empty
+/// when the item has no reviews or `m == 0`.
+///
+/// Integer-Regression falls back to it when the relaxation yields no
+/// candidate (e.g. the item's reviews are entirely uncorrelated with the
+/// target), and the unchecked solvers select it for an item whose
+/// regression failed, so they degrade instead of failing.
+pub(crate) fn best_single_review<F>(dedup: &DedupColumns, m: usize, mut evaluate: F) -> Selection
+where
+    F: FnMut(&Selection) -> f64,
+{
+    let q = dedup.len();
+    let mut best = None;
+    for g in 0..q {
+        let mut nu = vec![0usize; q];
+        nu[g] = 1;
+        consider(&mut best, dedup.expand(&nu), m, &mut evaluate);
+    }
+    best.map(|(_, s)| s).unwrap_or_default()
+}
+
 /// Run Integer-Regression for one item (Algorithm 1 lines 6–12).
 ///
 /// `evaluate` must return the true objective of a candidate selection
@@ -586,174 +598,21 @@ fn round_with_caps(x_hat: &[f64], s: usize, caps: &[usize]) -> Option<Vec<usize>
 /// selecting the single review minimising `evaluate`.
 ///
 /// The ℓ-sweep of Algorithm 1 line 7 runs as **one** shared NOMP pursuit
-/// ([`comparesets_linalg::nomp_path_with`]): the pursuit's state evolution is independent of
-/// the budget, so the per-ℓ relaxations are snapshots of a single run
-/// instead of `m` runs — identical solutions, ~`m×` less solver work.
-pub fn integer_regression<F>(task: &RegressionTask, m: usize, evaluate: F) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_with(task, m, evaluate, &mut NompWorkspace::new())
-}
-
-/// [`integer_regression`] with caller-provided solver scratch.
-///
-/// Alternating solvers (CompaReSetS+ sweeps, incremental maintenance)
-/// re-run Integer-Regression many times on same-shaped tasks; passing one
-/// [`NompWorkspace`] through avoids re-allocating the pursuit buffers on
-/// every call.
-pub fn integer_regression_with<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    // Non-strict mode never returns Err (a failed relaxation falls back to
-    // the single-review sweep), so the default branch is unreachable.
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        false,
-        SolveCtl::default(),
-    )
-    .unwrap_or_default()
-}
-
-/// [`integer_regression_with`] with an optional metrics collector: counts
-/// the regression itself and everything its NOMP relaxation does. With
-/// `None` this is exactly the unmetered path.
-pub fn integer_regression_metered<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    metrics: Option<&SolverMetrics>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        false,
-        SolveCtl::metered(metrics),
-    )
-    .unwrap_or_default()
-}
-
-/// [`integer_regression_metered`] with a full [`SolveCtl`] handle: a
-/// cancellation token (if present) is polled inside the NOMP relaxation.
-/// A fired token collapses the relaxation to its entry state, so this
-/// returns the cheap single-review fallback — still feasible, still
-/// non-empty — instead of a refined selection. Without a token this is
-/// exactly [`integer_regression_metered`].
-pub fn integer_regression_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    ctl: SolveCtl<'_>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(task, m, &mut evaluate, workspace, None, false, ctl).unwrap_or_default()
-}
-
-/// [`integer_regression`] that propagates solver failures instead of
-/// silently degrading to the single-review fallback.
-///
-/// On well-posed inputs this returns exactly what [`integer_regression`]
-/// returns; the two differ only when the continuous relaxation itself
-/// fails (non-finite targets, injected faults), where the strict variant
-/// reports the classified [`SolveError`] so batch drivers can isolate the
-/// offending item.
+/// ([`comparesets_linalg::nomp_path`]): the pursuit's state evolution is
+/// independent of the budget, so the per-ℓ relaxations are snapshots of a
+/// single run instead of `m` runs — identical solutions, ~`m×` less solver
+/// work. `workspace` is the pursuit's scratch, reused across calls;
+/// `ctl` carries the optional metrics collector (the regression and
+/// everything its relaxation does are counted) and the optional
+/// cancellation token, polled inside the relaxation. A fired token
+/// collapses the relaxation to its best-so-far state, so the answer is
+/// still feasible and non-empty, just less refined.
 ///
 /// # Errors
-/// The [`SolveError`] the NOMP relaxation reported.
-pub fn try_integer_regression<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        &mut NompWorkspace::new(),
-        None,
-        true,
-        SolveCtl::default(),
-    )
-}
-
-/// [`try_integer_regression`] with caller-provided solver scratch.
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_with<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        true,
-        SolveCtl::default(),
-    )
-}
-
-/// [`try_integer_regression_with`] with an optional metrics collector.
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_metered<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    metrics: Option<&SolverMetrics>,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        true,
-        SolveCtl::metered(metrics),
-    )
-}
-
-/// [`try_integer_regression_metered`] with a full [`SolveCtl`] handle; see
-/// [`integer_regression_ctl`] for the cancellation contract.
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_ctl<F>(
+/// The [`SolveError`] the NOMP relaxation reported (non-finite targets or
+/// design entries). The unchecked solvers answer such an item with
+/// the best single review instead.
+pub fn integer_regression<F>(
     task: &RegressionTask,
     m: usize,
     mut evaluate: F,
@@ -763,503 +622,180 @@ pub fn try_integer_regression_ctl<F>(
 where
     F: FnMut(&Selection) -> f64,
 {
-    integer_regression_impl(task, m, &mut evaluate, workspace, None, true, ctl)
-}
-
-/// The final answer of a previous warm regression, with the inputs it was
-/// produced under. Valid only together with the warm state's own target
-/// key: the selection may be returned verbatim when the budget, the caps,
-/// *and* the relaxation's full trajectory all still apply.
-#[derive(Debug, Clone)]
-struct CachedSelection {
-    m: usize,
-    caps: Vec<usize>,
-    selection: Selection,
-}
-
-/// Structural identity of a warm-held design matrix: everything the
-/// matrix's entries are a function of. Two builds with equal keys produce
-/// entry-for-entry identical matrices ([`column_entries`] is a pure
-/// function of the space, the representative feature, and the block
-/// weights), so a key match licenses reuse without touching a single
-/// stored value — and the comparison is exact (cloned features, bitwise
-/// weights), never a hash that could collide.
-#[derive(Debug, Clone, PartialEq)]
-struct MatrixKey {
-    rows: usize,
-    opinion_dim: usize,
-    /// Aspect-block weights in block order, compared bitwise.
-    weight_bits: Vec<u64>,
-    /// One representative [`ReviewFeature`] per dedup group, in group
-    /// order. Prefix-comparable: an append-only item keeps its old groups
-    /// as a prefix, which is what licenses in-place column growth.
-    reps: Vec<ReviewFeature>,
-}
-
-impl MatrixKey {
-    fn build(
-        space: &VectorSpace,
-        item: &Item,
-        dedup: &DedupColumns,
-        aspect_targets: &[(&[f64], f64)],
-    ) -> Self {
-        MatrixKey {
-            rows: space.opinion_dim() + space.num_aspects() * aspect_targets.len(),
-            opinion_dim: space.opinion_dim(),
-            weight_bits: aspect_targets.iter().map(|&(_, w)| w.to_bits()).collect(),
-            reps: dedup
-                .groups
-                .iter()
-                .map(|g| item.features[g[0]].clone())
-                .collect(),
-        }
-    }
-
-    /// Does `self` describe a strict column-prefix of `new`? True exactly
-    /// when the cached matrix can grow to `new` by appending columns.
-    fn is_prefix_of(&self, new: &MatrixKey) -> bool {
-        self.rows == new.rows
-            && self.opinion_dim == new.opinion_dim
-            && self.weight_bits == new.weight_bits
-            && self.reps.len() < new.reps.len()
-            && self.reps[..] == new.reps[..self.reps.len()]
-    }
-}
-
-/// Cross-round cache for one item's repeated integer regressions.
-///
-/// Wraps the linalg [`WarmState`] (the relaxation's trajectory cache) with
-/// the rounding layer's answer, so a re-solve whose inputs are unchanged —
-/// same design matrix, bit-equal target, same budget `m` and dedup caps —
-/// skips not only the pursuit but the `O(m²)` rounding-and-evaluate sweep.
-/// Alternating solvers hold one per item across sweeps; the state
-/// revalidates itself against the matrix on every pursuit that actually
-/// runs, while the full-skip fast path relies on the caller re-solving the
-/// *same item* (the intended use — both CompaReSetS+ variants and the
-/// incremental session thread exactly that).
-///
-/// The session entry points ([`integer_regression_session_ctl`]) also park
-/// the item's [`TaskMatrix`] here between re-solves, validated by an exact
-/// structural key: an unchanged item reuses the matrix outright, an
-/// append-only item grows its CSC columns in place
-/// ([`CscMatrix::try_push_column`]), and anything else rebuilds. This is
-/// what lets alternating sweeps skip the `O(q·rows)` matrix assembly per
-/// round and lets the serving daemon's session cache hold one resident CSC
-/// instance per item (reported by [`RegressionWarm::matrix_bytes`]).
-#[derive(Debug, Clone, Default)]
-pub struct RegressionWarm {
-    state: WarmState,
-    cached: Option<CachedSelection>,
-    matrix: Option<(MatrixKey, TaskMatrix)>,
-}
-
-impl RegressionWarm {
-    /// An empty cache; fills on the first regression it is threaded into.
-    pub fn new() -> Self {
-        RegressionWarm::default()
-    }
-
-    /// Drop the trajectory and answer caches (see
-    /// [`WarmState::invalidate`]); call when the item behind this cache
-    /// changed. The parked design matrix survives: it is validated by an
-    /// exact structural key on every session re-solve, so a stale matrix
-    /// is grown in place (append-only change) or rebuilt (anything else)
-    /// rather than trusted.
-    pub fn invalidate(&mut self) {
-        self.state.invalidate();
-        self.cached = None;
-    }
-
-    /// Resident bytes of the parked design matrix; 0 when none is held.
-    /// The serving daemon sums this over its session cache to report
-    /// per-process resident matrix memory.
-    pub fn matrix_bytes(&self) -> u64 {
-        self.matrix.as_ref().map_or(0, |(_, m)| m.memory_bytes())
-    }
-
-    /// Matrix-free full-skip probe: when this cache holds the answer of a
-    /// completed re-solve whose inputs are unchanged — bit-equal stacked
-    /// target (see [`RegressionTask::try_stack_target`]), same budget
-    /// `m`, same dedup caps — return it without building the design
-    /// matrix, running the pursuit, or rounding anything.
-    ///
-    /// `dedup` must be the item's current column grouping
-    /// ([`DedupColumns::build`]); callers solving the same immutable item
-    /// repeatedly (the alternating sweeps) build it once and reuse it.
-    ///
-    /// This is the same decision [`integer_regression_warm_ctl`] makes
-    /// internally, hoisted in front of the `O(q·rows)` matrix
-    /// construction so alternating solvers can skip task assembly on
-    /// stabilised rounds. Counters are recorded exactly as the in-engine
-    /// fast path records them, so the metrics identities hold whichever
-    /// path serves the reuse.
-    pub fn probe_reuse(
-        &self,
-        dedup: &DedupColumns,
-        target: &[f64],
-        m: usize,
-        metrics: Option<&SolverMetrics>,
-    ) -> Option<Selection> {
-        let cached = self.cached.as_ref()?;
-        if cached.m != m || m == 0 {
-            return None;
-        }
-        let q = dedup.len();
-        if q == 0
-            || cached.caps.len() != q
-            || !cached
-                .caps
-                .iter()
-                .zip(dedup.groups.iter())
-                .all(|(&c, g)| c == g.len())
-        {
-            return None;
-        }
-        let opts = NompOptions::with_max_atoms(m.min(q));
-        if !self.state.full_reuse_ready(target, opts) {
-            return None;
-        }
-        if let Some(mm) = metrics {
-            SolverMetrics::incr(&mm.integer_regressions);
-        }
-        self.state.record_full_reuse(metrics);
-        Some(cached.selection.clone())
-    }
-}
-
-/// [`integer_regression_ctl`] with a [`RegressionWarm`] cache carried
-/// across re-solves of the same item: the NOMP relaxation runs through
-/// [`nomp_path_warm`] (validated replay + incremental correlations), and
-/// an unchanged re-solve — bit-equal target, same budget and caps —
-/// returns the cached selection without rounding or evaluating anything.
-pub fn integer_regression_warm_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(task, m, &mut evaluate, workspace, Some(warm), false, ctl)
-        .unwrap_or_default()
-}
-
-/// [`try_integer_regression_ctl`] with a [`RegressionWarm`] cache; see
-/// [`integer_regression_warm_ctl`].
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_warm_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(task, m, &mut evaluate, workspace, Some(warm), true, ctl)
-}
-
-/// Assemble the regression task for a session re-solve, reusing the
-/// matrix parked in `warm` when its structural key licenses it: exact
-/// match → reuse outright (trajectory kept), append-only growth on a CSC
-/// matrix → push the new columns in place (trajectory dropped — it
-/// replays a different candidate set), anything else → rebuild under
-/// `backend` (trajectory dropped). Grown and rebuilt matrices are
-/// entry-for-entry identical ([`column_entries`] is shared), so every
-/// path yields byte-identical selections.
-///
-/// On an exact key match the held representation wins even if `backend`
-/// changed between calls — representations are selection-equivalent, so
-/// swapping one in costs a rebuild for no observable difference.
-fn session_task(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    warm: &mut RegressionWarm,
-) -> Result<(MatrixKey, RegressionTask), CoreError> {
-    let target = RegressionTask::try_stack_target(space, opinion_target, aspect_targets)?;
-    let dedup = DedupColumns::build(item);
-    let key = MatrixKey::build(space, item, &dedup, aspect_targets);
-    let matrix = match warm.matrix.take() {
-        Some((held_key, held)) if held_key == key => held,
-        Some((held_key, TaskMatrix::Sparse(mut csc))) if held_key.is_prefix_of(&key) => {
-            for g in held_key.reps.len()..key.reps.len() {
-                let entries =
-                    column_entries(space, &item.features[dedup.groups[g][0]], aspect_targets);
-                csc.try_push_column(&entries)
-                    .map_err(classify_build_error)?;
-            }
-            warm.invalidate();
-            TaskMatrix::Sparse(csc)
-        }
-        held => {
-            // A held matrix that reaches here failed validation (the item
-            // was edited, a weight changed, a dense matrix cannot grow);
-            // its trajectory describes a dead candidate set.
-            if held.is_some() {
-                warm.invalidate();
-            }
-            let columns: Vec<Vec<(usize, f64)>> = dedup
-                .groups
-                .iter()
-                .map(|g| column_entries(space, &item.features[g[0]], aspect_targets))
-                .collect();
-            assemble_matrix(key.rows, &columns, backend)?
-        }
-    };
-    Ok((
-        key,
-        RegressionTask {
-            matrix,
-            target,
-            dedup,
-        },
-    ))
-}
-
-/// Shared engine behind the session entry points: build-or-reuse the
-/// design matrix via [`session_task`], run the regression, park the
-/// matrix back in `warm` for the next re-solve (also when the solver
-/// itself failed — the matrix is still valid).
-#[allow(clippy::too_many_arguments)] // mirrors the warm_ctl surface plus the raw task blocks
-fn session_impl<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    m: usize,
-    evaluate: &mut F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    strict: bool,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, CoreError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    let (key, task) = session_task(space, item, opinion_target, aspect_targets, backend, warm)?;
-    let result = integer_regression_impl(&task, m, evaluate, workspace, Some(warm), strict, ctl)
-        .map_err(|source| CoreError::Solver { item: 0, source });
-    warm.matrix = Some((key, task.matrix));
-    result
-}
-
-/// [`integer_regression_warm_ctl`] that also owns the design-matrix
-/// lifecycle: instead of taking a pre-built [`RegressionTask`], this
-/// builds the task from the raw blocks and **parks the matrix inside
-/// `warm`** between calls. A re-solve of an unchanged item (the
-/// alternating sweeps' steady state, the serving daemon's repeat
-/// sessions) skips the `O(q·rows)` matrix assembly entirely; an
-/// append-only item (incremental ingest) grows its CSC columns in place;
-/// anything else rebuilds under `backend`. Selections are byte-identical
-/// to building fresh and calling [`integer_regression_warm_ctl`].
-///
-/// # Panics
-/// Panics on malformed target blocks, exactly as
-/// [`RegressionTask::build`] does.
-#[allow(clippy::too_many_arguments)] // mirrors the warm_ctl surface plus the raw task blocks
-pub fn integer_regression_session_ctl<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    match session_impl(
-        space,
-        item,
-        opinion_target,
-        aspect_targets,
-        backend,
-        m,
-        &mut evaluate,
-        workspace,
-        warm,
-        false,
-        ctl,
-    ) {
-        Ok(sel) => sel,
-        // Non-strict regressions never report solver errors, so the only
-        // reachable failure is a malformed task — the build panic.
-        Err(e) => panic!("integer_regression_session_ctl: {e}"),
-    }
-}
-
-/// Strict variant of [`integer_regression_session_ctl`]: task-build
-/// failures and solver failures are both reported instead of panicking
-/// or degrading.
-///
-/// # Errors
-/// [`CoreError::DimensionMismatch`] on malformed target blocks;
-/// [`CoreError::Solver`] (with `item` 0 — the caller knows which item it
-/// is solving) when the relaxation fails.
-#[allow(clippy::too_many_arguments)] // mirrors the warm_ctl surface plus the raw task blocks
-pub fn try_integer_regression_session_ctl<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, CoreError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    session_impl(
-        space,
-        item,
-        opinion_target,
-        aspect_targets,
-        backend,
-        m,
-        &mut evaluate,
-        workspace,
-        warm,
-        true,
-        ctl,
-    )
-}
-
-/// Shared engine behind the strict and non-strict entry points. `strict`
-/// decides what a failed relaxation does: propagate the classified error
-/// (checked solvers) or continue into the single-review fallback (legacy
-/// behaviour, kept bit-for-bit for well-posed inputs).
-fn integer_regression_impl<F>(
-    task: &RegressionTask,
-    m: usize,
-    evaluate: &mut F,
-    workspace: &mut NompWorkspace,
-    mut warm: Option<&mut RegressionWarm>,
-    strict: bool,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    let metrics = ctl.metrics;
     let caps = task.dedup.caps();
     let q = task.dedup.len();
-    if let Some(mm) = metrics {
+    if let Some(mm) = ctl.metrics {
         SolverMetrics::incr(&mm.integer_regressions);
     }
     let span = tracing::debug_span!("integer_regression", m = m, q = q);
     let _span_guard = span.enter();
     let mut best: Option<(f64, Selection)> = None;
-    let consider = |sel: Selection, evaluate: &mut F, best: &mut Option<(f64, Selection)>| {
-        if sel.len() > m {
-            return;
-        }
-        let cost = evaluate(&sel);
-        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            *best = Some((cost, sel));
-        }
-    };
-
     if q > 0 && m > 0 {
         // Budgets ℓ > q stop exactly where ℓ = q does (the support can
         // never exceed the q distinct columns), so the path only needs the
         // distinct budgets 1..=min(m, q); duplicates would re-evaluate the
         // same candidates and lose every strict-< comparison anyway.
-        let l_max = m.min(q);
-        let opts = NompOptions::with_max_atoms(l_max);
-
-        // Full skip: an unchanged re-solve (bit-equal target under the
-        // same options, same budget and caps) would reproduce the cached
-        // answer verbatim — the pursuit deterministically, the rounding
-        // and evaluation deterministically from it. Count the reuse as
-        // the engine's own fast path would.
-        if let Some(w) = warm.as_deref_mut() {
-            if let Some(c) = &w.cached {
-                if c.m == m && c.caps == caps && w.state.full_reuse_ready(&task.target, opts) {
-                    w.state.record_full_reuse(metrics);
-                    return Ok(c.selection.clone());
+        let opts = NompOptions::with_max_atoms(m.min(q));
+        let path = nomp_path(&task.matrix, &task.target, opts, workspace, ctl)?;
+        for res in &path {
+            if res.support.is_empty() {
+                continue;
+            }
+            for s in 1..=m {
+                if let Some(nu) = round_with_caps(&res.x, s, &caps) {
+                    consider(&mut best, task.dedup.expand(&nu), m, &mut evaluate);
                 }
             }
         }
+    }
+    // Every rounded candidate is non-empty, so `None` is exactly "no
+    // candidate emerged".
+    Ok(match best {
+        Some((_, selection)) => selection,
+        None => best_single_review(&task.dedup, m, evaluate),
+    })
+}
 
-        let solved = match warm.as_deref_mut() {
-            Some(w) => nomp_path_warm(
-                &task.matrix,
-                &task.target,
-                opts,
-                workspace,
-                &mut w.state,
-                ctl,
-            ),
-            None => nomp_path_ctl(&task.matrix, &task.target, opts, workspace, ctl),
-        };
-        match solved {
-            Ok(path) => {
-                for res in &path {
-                    if res.support.is_empty() {
-                        continue;
-                    }
-                    for s in 1..=m {
-                        if let Some(nu) = round_with_caps(&res.x, s, &caps) {
-                            let sel = task.dedup.expand(&nu);
-                            consider(sel, evaluate, &mut best);
-                        }
-                    }
-                }
-            }
-            Err(e) if strict => return Err(e),
-            Err(_) => {}
-        }
+/// The memoized answer of one completed regression, with every input it
+/// is a function of besides the item itself.
+#[derive(Debug, Clone)]
+struct Memo {
+    /// The stacked target Υ ([`RegressionTask::try_stack_target`]).
+    target: Vec<f64>,
+    /// The aspect-block weights (λ, μ, …) in block order, as bits: they
+    /// scale the design matrix and the objective without necessarily
+    /// showing in the target (a zero φ(Sⱼ) block stacks to zeros under
+    /// any μ).
+    weight_bits: Vec<u64>,
+    /// The budget m.
+    m: usize,
+    /// The dedup caps cᵢ, one per column group.
+    caps: Vec<usize>,
+    /// The selection the regression returned.
+    selection: Selection,
+    /// Greedy iterations of the pursuit that produced `selection`.
+    iterations: u64,
+    /// Budget snapshots that pursuit took (`min(m, q)`).
+    snapshots: u64,
+}
+
+/// Per-item answer memo for repeated integer regressions.
+///
+/// Holds the last completed selection of one item's regression, keyed on
+/// the stacked target, the bits of the block weights, the budget `m`, and
+/// the dedup caps. A regression whose inputs repeat all of these bit for
+/// bit is deterministic, so the memo's answer *is* what a cold solve
+/// returns, and it is served without building the design matrix, running
+/// the pursuit, or rounding anything. The item itself is not in the key:
+/// a memo belongs to one item, and whoever changes that item invalidates
+/// it (the serving daemon keys its memos on item versions).
+///
+/// Alternating solvers hold one per item across sweeps, where a
+/// stabilised round repeats its regression verbatim; the serving daemon
+/// carries them across near-repeat queries. A memo hit counts into the
+/// metrics as the pursuit it replaces: one regression, one pursuit, its
+/// iterations (each a `warm_start_hits` iteration, with no refit) and its
+/// budget snapshots.
+#[derive(Debug, Clone, Default)]
+pub struct RegressionWarm {
+    memo: Option<Memo>,
+}
+
+impl RegressionWarm {
+    /// An empty memo; fills on the first regression it is threaded into.
+    pub fn new() -> Self {
+        RegressionWarm::default()
     }
 
-    // Fallback: best single review (ensures a non-empty selection).
-    if best.as_ref().is_none_or(|(_, s)| s.is_empty()) {
-        for g in 0..q {
-            let mut nu = vec![0usize; q];
-            nu[g] = 1;
-            let sel = task.dedup.expand(&nu);
-            consider(sel, evaluate, &mut best);
-        }
+    /// Forget the memoized answer; call when the item behind this memo
+    /// changed.
+    pub fn invalidate(&mut self) {
+        self.memo = None;
     }
 
-    let selection = best.map(|(_, s)| s).unwrap_or_default();
-    // Pair the answer with the relaxation trajectory that produced it; the
-    // engine declines to store a trajectory for cancelled pursuits, and
-    // `full_reuse_ready` is false then, so a truncated anytime answer is
-    // never served as a completed one.
-    if q > 0 && m > 0 {
-        if let Some(w) = warm {
-            if w.state
-                .full_reuse_ready(&task.target, NompOptions::with_max_atoms(m.min(q)))
-            {
-                w.cached = Some(CachedSelection {
-                    m,
-                    caps,
-                    selection: selection.clone(),
-                });
-            } else {
-                w.cached = None;
-            }
-        }
+    /// Heap bytes the memo holds (vector capacities); 0 when empty. The
+    /// serving daemon sums this over its session cache and reports it as
+    /// `resident_bytes` in `health`.
+    pub fn memo_bytes(&self) -> u64 {
+        self.memo.as_ref().map_or(0, |memo| {
+            let words = memo.target.capacity()
+                + memo.weight_bits.capacity()
+                + memo.caps.capacity()
+                + memo.selection.indices.capacity();
+            (words * std::mem::size_of::<u64>()) as u64
+        })
     }
-    Ok(selection)
+
+    /// The memoized selection when `target`, the weights of
+    /// `aspect_targets`, `m`, and the caps of `dedup` all repeat the
+    /// memo's inputs bit for bit; the reuse is counted into `metrics`.
+    pub(crate) fn recall(
+        &self,
+        target: &[f64],
+        aspect_targets: &[(&[f64], f64)],
+        m: usize,
+        dedup: &DedupColumns,
+        metrics: Option<&SolverMetrics>,
+    ) -> Option<Selection> {
+        let memo = self.memo.as_ref()?;
+        let same = memo.m == m
+            && memo.caps.len() == dedup.len()
+            && memo
+                .caps
+                .iter()
+                .zip(&dedup.groups)
+                .all(|(&c, g)| c == g.len())
+            && memo.weight_bits.len() == aspect_targets.len()
+            && memo
+                .weight_bits
+                .iter()
+                .zip(aspect_targets)
+                .all(|(&bits, &(_, w))| bits == w.to_bits())
+            && memo.target.len() == target.len()
+            && memo
+                .target
+                .iter()
+                .zip(target)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same {
+            return None;
+        }
+        if let Some(mm) = metrics {
+            SolverMetrics::incr(&mm.integer_regressions);
+            SolverMetrics::incr(&mm.nomp_pursuits);
+            SolverMetrics::add(&mm.nomp_iterations, memo.iterations);
+            SolverMetrics::add(&mm.warm_start_hits, memo.iterations);
+            SolverMetrics::add(&mm.path_snapshots, memo.snapshots);
+        }
+        Some(memo.selection.clone())
+    }
+
+    /// Memoize a completed regression of `task` under `aspect_targets`
+    /// and `m`; `iterations` are its pursuit's greedy iterations
+    /// ([`NompWorkspace::iterations`]). A regression that ran no pursuit
+    /// (`m == 0` or no reviews) leaves the memo as it was.
+    pub(crate) fn remember(
+        &mut self,
+        task: RegressionTask,
+        aspect_targets: &[(&[f64], f64)],
+        m: usize,
+        selection: &Selection,
+        iterations: u64,
+    ) {
+        let q = task.dedup.len();
+        if m == 0 || q == 0 {
+            return;
+        }
+        self.memo = Some(Memo {
+            target: task.target,
+            weight_bits: aspect_targets.iter().map(|&(_, w)| w.to_bits()).collect(),
+            m,
+            caps: task.dedup.caps(),
+            selection: selection.clone(),
+            iterations,
+            snapshots: m.min(q) as u64,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1279,6 +815,17 @@ mod tests {
                 .map(|(i, ms)| (ReviewId(i as u32), ms))
                 .collect(),
         )
+    }
+
+    fn regress(task: &RegressionTask, m: usize, evaluate: impl Fn(&Selection) -> f64) -> Selection {
+        integer_regression(
+            task,
+            m,
+            evaluate,
+            &mut NompWorkspace::new(),
+            SolveCtl::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1352,7 +899,7 @@ mod tests {
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
         let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let sel = integer_regression(&task, 3, |s| {
+        let sel = regress(&task, 3, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
             sq_distance(&tau, &pi) + sq_distance(&gamma, &phi)
@@ -1377,7 +924,7 @@ mod tests {
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
         let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let sel = integer_regression(&task, 4, |s| {
+        let sel = regress(&task, 4, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
             sq_distance(&tau, &pi) + sq_distance(&gamma, &phi)
@@ -1403,7 +950,7 @@ mod tests {
         let gamma = space.phi(&item, &all);
         for m in 1..=5 {
             let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-            let sel = integer_regression(&task, m, |s| {
+            let sel = regress(&task, m, |s| {
                 let pi = space.pi(&item, &s.indices);
                 sq_distance(&tau, &pi)
             });
@@ -1419,131 +966,10 @@ mod tests {
         let tau = vec![1.0, 0.0];
         let gamma = vec![1.0];
         let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let sel = integer_regression(&task, 3, |s| {
+        let sel = regress(&task, 3, |s| {
             sq_distance(&tau, &space.pi(&item, &s.indices))
         });
         assert_eq!(sel.indices, vec![0]);
-    }
-
-    fn assert_matrices_bit_identical(a: &TaskMatrix, b: &TaskMatrix, what: &str) {
-        assert_eq!(a.rows(), b.rows(), "{what}: rows");
-        assert_eq!(a.cols(), b.cols(), "{what}: cols");
-        for r in 0..a.rows() {
-            for c in 0..a.cols() {
-                assert_eq!(
-                    a.get(r, c).to_bits(),
-                    b.get(r, c).to_bits(),
-                    "{what}: entry ({r}, {c})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn session_grows_parked_csc_in_place_to_match_rebuild() {
-        use Polarity::{Negative, Positive};
-        let space = VectorSpace::new(3, OpinionScheme::Binary);
-        let tau = vec![0.5, 0.0, 0.0, 0.25, 0.25, 0.0];
-        let gamma = vec![1.0, 1.0, 1.0];
-        let targets: [(&[f64], f64); 1] = [(&gamma, 1.0)];
-
-        let small = item_with(vec![vec![(0, Positive)], vec![(1, Negative)]]);
-        let mut warm = RegressionWarm::new();
-        let (key, task) = session_task(
-            &space,
-            &small,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        assert!(task.matrix.is_sparse());
-        warm.matrix = Some((key, task.matrix.clone()));
-
-        // Appending a structurally new review must extend the parked CSC
-        // in place — and land bit-identically on a from-scratch build.
-        let grown_item = item_with(vec![
-            vec![(0, Positive)],
-            vec![(1, Negative)],
-            vec![(2, Positive)],
-        ]);
-        let (key2, grown) = session_task(
-            &space,
-            &grown_item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        let rebuilt = RegressionTask::try_build_with(
-            &space,
-            &grown_item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-        )
-        .unwrap();
-        assert!(grown.matrix.is_sparse());
-        assert_matrices_bit_identical(&grown.matrix, &rebuilt.matrix, "grown vs rebuilt");
-
-        // Exact-key reuse: re-solving the identical item hands the parked
-        // matrix straight back.
-        warm.matrix = Some((key2, grown.matrix.clone()));
-        let (_, reused) = session_task(
-            &space,
-            &grown_item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        assert_matrices_bit_identical(&reused.matrix, &rebuilt.matrix, "exact-key reuse");
-    }
-
-    #[test]
-    fn session_rebuilds_on_structural_mismatch() {
-        use Polarity::{Negative, Positive};
-        let space = VectorSpace::new(3, OpinionScheme::Binary);
-        let tau = vec![0.5, 0.0, 0.0, 0.25, 0.25, 0.0];
-        let gamma = vec![1.0, 1.0, 1.0];
-        let targets: [(&[f64], f64); 1] = [(&gamma, 1.0)];
-        let item = item_with(vec![vec![(0, Positive)], vec![(1, Negative)]]);
-
-        let mut warm = RegressionWarm::new();
-        let (key, task) = session_task(
-            &space,
-            &item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        warm.matrix = Some((key, task.matrix));
-
-        // Different target weight → different weight_bits → not a prefix:
-        // the session must rebuild, not grow.
-        let reweighted: [(&[f64], f64); 1] = [(&gamma, 2.0)];
-        let (_, rebuilt_via_session) = session_task(
-            &space,
-            &item,
-            &tau,
-            &reweighted,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        let fresh =
-            RegressionTask::try_build_with(&space, &item, &tau, &reweighted, MatrixBackend::Sparse)
-                .unwrap();
-        assert_matrices_bit_identical(
-            &rebuilt_via_session.matrix,
-            &fresh.matrix,
-            "mismatch rebuild",
-        );
     }
 
     #[test]
@@ -1566,34 +992,23 @@ mod tests {
     }
 
     #[test]
-    fn strict_variant_matches_legacy_on_well_posed_input() {
-        let item = crate::space::fixtures::working_example_item();
-        let space = VectorSpace::new(5, OpinionScheme::Binary);
-        let all: Vec<usize> = (0..7).collect();
-        let tau = space.pi(&item, &all);
-        let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let eval = |s: &Selection| {
-            sq_distance(&tau, &space.pi(&item, &s.indices))
-                + sq_distance(&gamma, &space.phi(&item, &s.indices))
-        };
-        let legacy = integer_regression(&task, 3, eval);
-        let strict = try_integer_regression(&task, 3, eval).unwrap();
-        assert_eq!(legacy, strict);
-    }
-
-    #[test]
     fn strict_variant_propagates_non_finite_targets() {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(1, OpinionScheme::Binary);
         let tau = vec![1.0, 0.0];
         let mut task = RegressionTask::build(&space, &item, &tau, &[]);
         task.target[0] = f64::NAN;
-        let r = try_integer_regression(&task, 2, |_| 0.0);
+        let r = integer_regression(
+            &task,
+            2,
+            |_| 0.0,
+            &mut NompWorkspace::new(),
+            SolveCtl::default(),
+        );
         assert!(matches!(r, Err(SolveError::NonFinite { .. })));
-        // The legacy entry point degrades to the single-review fallback
+        // The unchecked solvers degrade to the single-review fallback
         // instead of failing.
-        let sel = integer_regression(&task, 2, |_| 0.0);
+        let sel = best_single_review(&task.dedup, 2, |_| 0.0);
         assert_eq!(sel.indices, vec![0]);
     }
 }

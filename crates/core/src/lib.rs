@@ -62,11 +62,7 @@ pub use exhaustive::{solve_exhaustive, solve_exhaustive_item};
 pub use incremental::{IncrementalSession, SessionEvent};
 pub use instance::{InstanceContext, Item, ReviewFeature, Selection};
 pub use integer_regression::{
-    integer_regression, integer_regression_ctl, integer_regression_metered,
-    integer_regression_session_ctl, integer_regression_warm_ctl, integer_regression_with,
-    try_integer_regression, try_integer_regression_ctl, try_integer_regression_metered,
-    try_integer_regression_session_ctl, try_integer_regression_warm_ctl,
-    try_integer_regression_with, MatrixBackend, RegressionTask, RegressionWarm, TaskMatrix,
+    integer_regression, MatrixBackend, RegressionTask, RegressionWarm, TaskMatrix,
     DENSITY_CROSSOVER,
 };
 pub use objective::{
@@ -74,9 +70,11 @@ pub use objective::{
 };
 pub use space::{OpinionScheme, VectorSpace};
 
+use comparesets_linalg::{with_pooled_workspace, NompWorkspace};
 pub use comparesets_obs::{
     CancelToken, MetricsReport, MetricsSnapshot, SolveCtl, SolverMetrics, METRICS_SCHEMA,
 };
+use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -125,13 +123,13 @@ impl Default for SelectParams {
 /// leaves every result bit-identical to running without one.
 ///
 /// `warm_start` (on by default) lets the alternating solvers carry a
-/// per-item [`RegressionWarm`] cache across Gauss–Seidel sweeps and
-/// incremental re-solves: re-solves whose target is unchanged are served
-/// from cache, and changed targets replay the previous trajectory with
-/// validation (ARCHITECTURE.md §9). Selections are pinned equal to the
-/// cold path by `crates/core/tests/warm_start.rs`; set `warm_start` to
-/// `false` to force every sweep to solve from scratch (the cold baseline
-/// the `alternation/*` benches compare against).
+/// per-item [`RegressionWarm`] answer memo across Gauss–Seidel sweeps: a
+/// step whose regression inputs (target, block weights, budget, caps)
+/// repeat bit for bit is answered from the memo, every other step solves
+/// cold (ARCHITECTURE.md §9). Selections are pinned equal to the cold
+/// path by `crates/core/tests/warm_start.rs`; set `warm_start` to `false`
+/// to force every sweep to solve from scratch (the cold baseline the
+/// `alternation/*` benches compare against).
 ///
 /// `backend` picks the design-matrix storage ([`MatrixBackend`]): CSC,
 /// dense, or per-task automatic selection by stored density against
@@ -146,8 +144,8 @@ pub struct SolveOptions {
     /// Worker count for parallel runs; `None` uses rayon's global default
     /// (all cores). Ignored when `parallel` is false.
     pub threads: Option<usize>,
-    /// Carry per-item warm-start caches across alternating sweeps and
-    /// incremental re-solves (on by default).
+    /// Carry per-item answer memos across alternating sweeps (on by
+    /// default).
     pub warm_start: bool,
     /// Design-matrix storage backend for every regression the solve
     /// builds ([`MatrixBackend::Auto`] by default: CSC below the
@@ -251,16 +249,34 @@ impl SolveOptions {
     }
 }
 
-/// Run `f` on the pool the options ask for: a dedicated pool when a thread
-/// count is pinned, rayon's global pool otherwise. Falls back to the
-/// calling thread if the dedicated pool cannot be built.
-pub(crate) fn run_on_pool<R: Send>(opts: &SolveOptions, f: impl FnOnce() -> R + Send) -> R {
+/// Run `solve` for every item `0..n` and collect the results in item
+/// order (never completion order). With [`SolveOptions::parallel`] the
+/// items fan out over rayon — a dedicated pool when a thread count is
+/// pinned (the calling thread if that pool cannot be built), the global
+/// pool otherwise — each worker drawing a pooled workspace; otherwise
+/// they run sequentially through one workspace. Either way the results
+/// are identical.
+pub(crate) fn per_item<T: Send>(
+    n: usize,
+    opts: &SolveOptions,
+    solve: impl Fn(usize, &mut NompWorkspace) -> T + Sync,
+) -> Vec<T> {
+    if !opts.parallel {
+        let mut ws = NompWorkspace::new();
+        return (0..n).map(|i| solve(i, &mut ws)).collect();
+    }
+    let fan_out = || {
+        (0..n)
+            .into_par_iter()
+            .map(|i| with_pooled_workspace(|ws| solve(i, ws)))
+            .collect()
+    };
     match opts.threads {
-        Some(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-            Ok(pool) => pool.install(f),
-            Err(_) => f(),
+        Some(threads) => match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
+            Ok(pool) => pool.install(fan_out),
+            Err(_) => fan_out(),
         },
-        None => f(),
+        None => fan_out(),
     }
 }
 

@@ -63,11 +63,11 @@ fn counters_obey_solve_path_identities() {
     run_all(&ctxs, Algorithm::CompareSetsPlus, &opts);
     let snap = metrics.snapshot();
 
-    // Every integer regression runs exactly one budget-path pursuit (a
-    // warm full-target reuse still counts as a pursuit).
+    // Every integer regression runs exactly one budget-path pursuit (an
+    // answer-memo hit still counts as the pursuit it replaces).
     assert_eq!(snap.nomp_pursuits, snap.integer_regressions);
-    // One NNLS refit per accepted atom, except atoms replayed from a
-    // validated warm trajectory, whose cached refit is reused.
+    // One NNLS refit per accepted atom, except the iterations a memo hit
+    // replays, which refit nothing.
     assert_eq!(
         snap.nnls_refits,
         snap.nomp_iterations - snap.warm_start_hits

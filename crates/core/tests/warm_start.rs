@@ -1,8 +1,8 @@
-//! Warm-start pinning tests: carrying per-item warm-start caches across
-//! alternating sweeps and incremental re-solves must never change a
-//! selection. Every solver that threads [`RegressionWarm`] state is
-//! compared byte-for-byte against its cold-start twin, sequentially and
-//! in parallel, and the v3 warm-start counters are checked to actually
+//! Warm-start pinning tests: carrying per-item answer memos across
+//! alternating sweeps, and across calls, must never change a selection.
+//! Every solver that threads [`RegressionWarm`] state is compared
+//! byte-for-byte against its cold-start twin, sequentially and in
+//! parallel, and the `warm_start_hits` counter is checked to actually
 //! fire on multi-sweep workloads.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -10,11 +10,14 @@
 use std::sync::Arc;
 
 use comparesets_core::{
-    solve_comparesets_plus_checked, solve_comparesets_plus_sweeps_with, solve_comparesets_with,
-    solve_crs_with, IncrementalSession, InstanceContext, OpinionScheme, ReviewFeature,
-    SelectParams, Selection, SolveOptions, SolverMetrics,
+    solve_comparesets_plus_checked, solve_comparesets_plus_sweeps_warm_with,
+    solve_comparesets_plus_sweeps_with, solve_comparesets_with, solve_crs_with, IncrementalSession,
+    InstanceContext, Item, OpinionScheme, RegressionWarm, ReviewFeature, SelectParams, Selection,
+    SolveOptions, SolverMetrics,
 };
-use comparesets_data::{CategoryPreset, Polarity, ReviewId};
+use comparesets_data::{CategoryPreset, Polarity, ProductId, ReviewId};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn contexts() -> Vec<InstanceContext> {
     let dataset = CategoryPreset::Cellphone.config(120, 29).generate();
@@ -59,10 +62,9 @@ fn warm_sweeps_select_identically_to_cold_sweeps() {
 #[test]
 fn warm_equals_cold_on_every_backend() {
     // The warm==cold identity must hold whether the design matrices are
-    // dense, CSC, or auto-selected — the warm engine's sparse-aware
-    // correlation downdates and the parked-matrix reuse may change
-    // nothing but wall-clock (crates/core/tests/backend_equivalence.rs
-    // pins cross-backend identity; this pins warm==cold per backend).
+    // dense, CSC, or auto-selected — memo hits may change nothing but
+    // wall-clock (crates/core/tests/backend_equivalence.rs pins
+    // cross-backend identity; this pins warm==cold per backend).
     use comparesets_core::MatrixBackend;
     let params = SelectParams::default();
     for ctx in &contexts() {
@@ -167,10 +169,6 @@ fn warm_counters_fire_on_multi_sweep_solves_and_identities_hold() {
         snap.warm_start_hits > 0,
         "multi-sweep alternation never reused a warm trajectory"
     );
-    assert!(
-        snap.corr_incremental_updates > 0,
-        "warm pursuits never downdated the correlation vector"
-    );
     assert_eq!(
         snap.nnls_refits,
         snap.nomp_iterations - snap.warm_start_hits
@@ -193,4 +191,70 @@ fn cold_solves_never_touch_the_warm_counters() {
     assert_eq!(snap.corr_incremental_updates, 0);
     assert_eq!(snap.corr_exact_recomputes, 0);
     assert_eq!(snap.nnls_refits, snap.nomp_iterations);
+}
+
+/// Two items; item 1's reviews mention no aspect, so φ(S₁) is zero under
+/// every selection and item 0's stacked target `[τ₀; λΓ; μφ(S₁)]` is the
+/// same for every μ, while its design matrix and objective are not.
+fn zero_coupling_context(seed: u64) -> InstanceContext {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let z = 4;
+    let reviews = (0..rng.random_range(3..9u32))
+        .map(|r| {
+            let mentions = (0..rng.random_range(1..4))
+                .map(|_| {
+                    let polarity = if rng.random_bool(0.5) {
+                        Polarity::Positive
+                    } else {
+                        Polarity::Negative
+                    };
+                    (rng.random_range(0..z), polarity)
+                })
+                .collect();
+            (ReviewId(r), mentions)
+        })
+        .collect();
+    let silent = (0..3).map(|r| (ReviewId(100 + r), Vec::new())).collect();
+    let items = vec![
+        Item::from_mentions(ProductId(0), reviews),
+        Item::from_mentions(ProductId(1), silent),
+    ];
+    InstanceContext::from_items(z, items, OpinionScheme::Binary)
+}
+
+#[test]
+fn memos_from_another_mu_never_answer() {
+    // A memo keyed on the stacked target alone would serve item 0 the
+    // answer computed under the first μ: the target repeats bit for bit,
+    // the weights do not.
+    for seed in 0..200 {
+        let ctx = zero_coupling_context(seed);
+        for (mu_before, mu_after) in [(0.1, 2.0), (2.0, 0.1), (0.1, 5.0)] {
+            for lambda in [1.0, 0.5] {
+                let params = |mu| SelectParams { m: 3, lambda, mu };
+                let mut warm = vec![RegressionWarm::new(); 2];
+                let opts = SolveOptions::default();
+                solve_comparesets_plus_sweeps_warm_with(
+                    &ctx,
+                    &params(mu_before),
+                    1,
+                    &opts,
+                    &mut warm,
+                );
+                let reused = solve_comparesets_plus_sweeps_warm_with(
+                    &ctx,
+                    &params(mu_after),
+                    1,
+                    &opts,
+                    &mut warm,
+                );
+                let coldsel =
+                    solve_comparesets_plus_sweeps_with(&ctx, &params(mu_after), 1, &cold());
+                assert_eq!(
+                    reused, coldsel,
+                    "seed {seed}: μ {mu_before} -> {mu_after}, λ {lambda}"
+                );
+            }
+        }
+    }
 }

@@ -51,9 +51,7 @@ pub use nnls::{
     NnlsDiagnostics,
 };
 pub use nomp::{
-    nomp, nomp_path, nomp_path_ctl, nomp_path_metered, nomp_path_warm, nomp_path_with,
-    nomp_reference, nomp_with, with_pooled_workspace, NompOptions, NompResult, NompWorkspace,
-    WarmState,
+    nomp_path, nomp_reference, with_pooled_workspace, NompOptions, NompResult, NompWorkspace,
 };
 pub use qr::lstsq;
 pub use sparse::{CscMatrix, DesignMatrix};

@@ -33,18 +33,13 @@
 //! [`with_pooled_workspace`] keeps one per rayon worker thread so parallel
 //! fan-outs stop allocating a fresh workspace per item.
 //!
-//! A third optimisation targets *re-solves of the same design matrix*
-//! (Algorithm 1's alternating sweeps change only the `μφ(S_j)` blocks of
-//! the target between rounds): [`nomp_path_warm`] carries a [`WarmState`]
-//! across calls, replaying the previous pursuit's trajectory atom-by-atom
-//! with validation — each cached atom must still be the argmax under the
-//! new target, and a cached refit is reused only when its inputs match
-//! bit-for-bit — and maintaining the correlation vector `Aᵀr` by Gram
-//! downdates (`c ← c − Δη·G[:,j]`) instead of a full matrix scan per
-//! iteration, with periodic exact recomputes bounding drift.
+//! Every pursuit starts cold: re-solves with a repeated input are answered
+//! above this crate, by the per-item answer memo of
+//! `comparesets_core::RegressionWarm` (ARCHITECTURE.md §9).
 //!
 //! ```
-//! use comparesets_linalg::{nomp, nomp_path, Matrix, NompOptions};
+//! use comparesets_linalg::{nomp_path, Matrix, NompOptions, NompWorkspace};
+//! use comparesets_obs::SolveCtl;
 //!
 //! let a = Matrix::from_rows(&[
 //!     vec![1.0, 0.0, 0.6],
@@ -52,16 +47,19 @@
 //! ])
 //! .unwrap();
 //! let b = vec![1.0, 2.0];
+//! let mut ws = NompWorkspace::new();
 //!
 //! // One pursuit, every budget ℓ = 1..=2: path[l-1] is the budget-ℓ result.
-//! let path = nomp_path(&a, &b, NompOptions::with_max_atoms(2)).unwrap();
+//! let path =
+//!     nomp_path(&a, &b, NompOptions::with_max_atoms(2), &mut ws, SolveCtl::default()).unwrap();
 //! assert_eq!(path.len(), 2);
 //! assert!(path[1].sq_residual <= path[0].sq_residual + 1e-12);
 //!
-//! // Identical to solving each budget separately.
-//! let single = nomp(&a, &b, NompOptions::with_max_atoms(1)).unwrap();
-//! assert_eq!(single.support, path[0].support);
-//! assert_eq!(single.x, path[0].x);
+//! // Identical to a pursuit that stops at budget 1.
+//! let single =
+//!     nomp_path(&a, &b, NompOptions::with_max_atoms(1), &mut ws, SolveCtl::default()).unwrap();
+//! assert_eq!(single[0].support, path[0].support);
+//! assert_eq!(single[0].x, path[0].x);
 //! ```
 
 use crate::error::LinalgError;
@@ -69,13 +67,13 @@ use crate::matrix::Matrix;
 use crate::nnls::{nnls_capped, nnls_gram_capped_ctl};
 use crate::sparse::DesignMatrix;
 use crate::vector;
-use comparesets_obs::{CancelToken, SolveCtl, SolverMetrics};
+use comparesets_obs::{SolveCtl, SolverMetrics};
 
-/// Tuning knobs for [`nomp`].
+/// Tuning knobs for [`nomp_path`].
 #[derive(Debug, Clone, Copy)]
 pub struct NompOptions {
-    /// Maximum number of active atoms (ℓ in Algorithm 1 line 7). For
-    /// [`nomp_path`] this is the largest budget; the path has this length.
+    /// Maximum number of active atoms (ℓ in Algorithm 1 line 7): the
+    /// largest budget, and the length of the path [`nomp_path`] returns.
     pub max_atoms: usize,
     /// Stop when the squared residual improves by less than this factor of
     /// the previous squared residual.
@@ -128,12 +126,21 @@ pub struct NompWorkspace {
     gram_rows: Vec<Vec<f64>>,
     /// `Aₛᵀb` restricted to the support, same order as `gram_rows`.
     atb: Vec<f64>,
+    /// Greedy iterations (accepted atoms) of the last pursuit.
+    iterations: u64,
 }
 
 impl NompWorkspace {
     /// An empty workspace; buffers grow to fit on first use.
     pub fn new() -> Self {
         NompWorkspace::default()
+    }
+
+    /// Greedy iterations — atoms that entered the support — of the last
+    /// pursuit run on this workspace: what that pursuit added to the
+    /// `nomp_iterations` counter.
+    pub fn iterations(&self) -> u64 {
+        self.iterations
     }
 
     fn reset(&mut self, rows: usize, cols: usize) {
@@ -150,6 +157,7 @@ impl NompWorkspace {
         self.support.clear();
         self.gram_rows.clear();
         self.atb.clear();
+        self.iterations = 0;
     }
 
     fn snapshot(&self, sq_residual: f64) -> NompResult {
@@ -159,107 +167,6 @@ impl NompWorkspace {
             sq_residual,
         }
     }
-}
-
-/// Run non-negative orthogonal matching pursuit for a single budget.
-///
-/// # Errors
-/// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
-/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`.
-pub fn nomp<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-) -> Result<NompResult, LinalgError> {
-    let mut ws = NompWorkspace::new();
-    nomp_with(a, b, opts, &mut ws)
-}
-
-/// [`nomp`] with caller-provided scratch (see [`NompWorkspace`]).
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_with<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-) -> Result<NompResult, LinalgError> {
-    let mut results = pursuit(a, b, opts, ws, false, SolveCtl::default())?;
-    results.pop().ok_or(LinalgError::InvalidArgument(
-        "nomp: pursuit produced no state",
-    ))
-}
-
-/// Run one shared pursuit and return the results for **every** budget
-/// `ℓ = 1..=opts.max_atoms` (`path[l-1]` is the budget-`l` result).
-///
-/// Each entry is identical — same support, same coefficients, same
-/// residual — to what `nomp(a, b, opts with max_atoms = l)` would return,
-/// because the pursuit's state evolution does not depend on the budget;
-/// only the stopping point does. Integer-Regression's ℓ-sweep thus costs
-/// one pursuit instead of m.
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-) -> Result<Vec<NompResult>, LinalgError> {
-    let mut ws = NompWorkspace::new();
-    nomp_path_with(a, b, opts, &mut ws)
-}
-
-/// [`nomp_path`] with caller-provided scratch (see [`NompWorkspace`]).
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path_with<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, true, SolveCtl::default())
-}
-
-/// [`nomp_path_with`] with an optional metrics collector: the pursuit
-/// counts its iterations, refits, Gram-cache hits, budget snapshots, and
-/// wall time into `metrics`. With `None` this is exactly the unmetered
-/// path — no atomic is touched and no clock is read.
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path_metered<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-    metrics: Option<&SolverMetrics>,
-) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, true, SolveCtl::metered(metrics))
-}
-
-/// [`nomp_path_metered`] with a full [`SolveCtl`] handle: a cancellation
-/// token (if present) is polled once per pursuit iteration and inside
-/// every NNLS refit. A fired token takes the same exit as the pursuit's
-/// "no progress" break — every still-pending budget receives the current
-/// (always feasible) state — so a cancelled pursuit returns `Ok` with its
-/// best-so-far path rather than an error; the caller decides whether that
-/// counts as a deadline failure. Without a token this is exactly
-/// [`nomp_path_metered`].
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path_ctl<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-    ctl: SolveCtl<'_>,
-) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, true, ctl)
 }
 
 /// Count one full correlation scan (`c = Aᵀr`) into `metrics`, classified
@@ -277,24 +184,47 @@ fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&So
     }
 }
 
-/// The shared pursuit engine behind [`nomp`] and [`nomp_path`].
+/// Run one shared pursuit and return the results for **every** budget
+/// `ℓ = 1..=opts.max_atoms` (`path[l-1]` is the budget-`l` result).
 ///
-/// With `record_path` set, a snapshot for budget `l` is taken at the first
-/// loop-condition check where that budget's stopping condition holds —
-/// `support.len() ≥ min(l, cols)` or the residual floor is reached. This is
-/// exactly where a standalone budget-`l` run exits its loop. Pruning may
-/// later shrink the support below `l` again; the snapshot stays, matching
-/// the standalone run. When the pursuit breaks out of the loop body (no
-/// positive correlation, the entering atom was pruned straight back out, or
-/// the residual stopped improving), every still-pending budget receives the
-/// current state — a standalone run at any such budget would have executed
-/// the identical step and broken identically.
-fn pursuit<M: DesignMatrix>(
+/// Each entry is identical — same support, same coefficients, same
+/// residual — to the last entry of a pursuit run with `max_atoms = l`,
+/// because the pursuit's state evolution does not depend on the budget;
+/// only the stopping point does. Integer-Regression's ℓ-sweep thus costs
+/// one pursuit instead of m.
+///
+/// A snapshot for budget `l` is taken at the first loop-condition check
+/// where that budget's stopping condition holds — `support.len() ≥
+/// min(l, cols)` or the residual floor is reached. This is exactly where a
+/// pursuit to budget `l` exits its loop. Pruning may later shrink the
+/// support below `l` again; the snapshot stays. When the pursuit breaks
+/// out of the loop body (no positive correlation, the entering atom was
+/// pruned straight back out, or the residual stopped improving), every
+/// still-pending budget receives the current state — a pursuit to any
+/// such budget would have executed the identical step and broken
+/// identically.
+///
+/// `ctl` carries the optional metrics collector — the pursuit counts its
+/// iterations, refits, Gram-cache hits, budget snapshots, and wall time;
+/// with `None` no atomic is touched and no clock is read — and the
+/// optional cancellation token, polled once per pursuit iteration and
+/// inside every NNLS refit. A fired token takes the same exit as the "no
+/// progress" break — every still-pending budget receives the current
+/// (always feasible) state — so a cancelled pursuit returns `Ok` with its
+/// best-so-far path rather than an error; the caller decides whether that
+/// counts as a deadline failure. Without a token the path is exactly the
+/// token-less one.
+///
+/// # Errors
+/// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
+/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`;
+/// [`LinalgError::NonFinite`] when `b` or the design matrix holds a NaN or
+/// an infinity.
+pub fn nomp_path<M: DesignMatrix>(
     a: &M,
     b: &[f64],
     opts: NompOptions,
     ws: &mut NompWorkspace,
-    record_path: bool,
     ctl: SolveCtl<'_>,
 ) -> Result<Vec<NompResult>, LinalgError> {
     let metrics = ctl.metrics;
@@ -346,28 +276,23 @@ fn pursuit<M: DesignMatrix>(
     ws.residual.copy_from_slice(b);
     let mut sq_res = vector::dot(&ws.residual, &ws.residual);
 
-    let mut results: Vec<NompResult> =
-        Vec::with_capacity(if record_path { opts.max_atoms } else { 1 });
+    let mut results: Vec<NompResult> = Vec::with_capacity(opts.max_atoms);
 
     loop {
         // Budget checkpoints: every budget whose stopping condition first
         // holds here gets the current state.
-        if record_path {
-            while results.len() < opts.max_atoms {
-                let l = results.len() + 1;
-                if ws.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
-                    if let Some(mm) = metrics {
-                        SolverMetrics::incr(&mm.path_snapshots);
-                    }
-                    results.push(ws.snapshot(sq_res));
-                } else {
-                    break;
+        while results.len() < opts.max_atoms {
+            let l = results.len() + 1;
+            if ws.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
+                if let Some(mm) = metrics {
+                    SolverMetrics::incr(&mm.path_snapshots);
                 }
-            }
-            if results.len() == opts.max_atoms {
+                results.push(ws.snapshot(sq_res));
+            } else {
                 break;
             }
-        } else if ws.support.len() >= opts.max_atoms.min(n) || sq_res <= opts.residual_tolerance {
+        }
+        if results.len() == opts.max_atoms {
             break;
         }
 
@@ -397,6 +322,7 @@ fn pursuit<M: DesignMatrix>(
         let Some(j_star) = best_j else {
             break; // No positively correlated column remains.
         };
+        ws.iterations += 1;
         if let Some(mm) = metrics {
             SolverMetrics::incr(&mm.nomp_iterations);
             // Every refit after the first reuses the incrementally
@@ -496,615 +422,13 @@ fn pursuit<M: DesignMatrix>(
     }
 
     // A break above ends every budget not yet recorded at the current
-    // state; the single-budget variant records its only result here too.
-    if record_path {
-        while results.len() < opts.max_atoms {
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.path_snapshots);
-            }
-            results.push(ws.snapshot(sq_res));
-        }
-    } else {
-        results.push(ws.snapshot(sq_res));
-    }
-    if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
-        SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
-    }
-    Ok(results)
-}
-
-/// Iterations between exact `Aᵀr` recomputes in the warm engine: the
-/// downdated correlations accumulate one rounding's worth of drift per
-/// refit, so a short period keeps them within a few ulps of exact.
-const CORR_RECOMPUTE_PERIOD: u64 = 8;
-
-/// Relative residual floor (vs `‖b‖²`) below which the warm engine always
-/// recomputes `Aᵀr` exactly: near a perfect fit the correlations are tiny
-/// differences of large downdates, where absolute drift dominates the
-/// signal and could mis-rank the argmax.
-const CORR_SAFETY_FLOOR: f64 = 1e-12;
-
-/// Cache key for the tolerances a cached trajectory was produced under.
-fn opts_key(opts: NompOptions) -> (usize, u64, u64) {
-    (
-        opts.max_atoms,
-        opts.min_relative_improvement.to_bits(),
-        opts.residual_tolerance.to_bits(),
-    )
-}
-
-/// One recorded iteration of a completed pursuit: which atom entered, the
-/// exact `Aᵀb` restriction its refit saw (support order, entering atom
-/// last), and the refit's output. Replay reuses `x_sub` only when a fresh
-/// run reproduces `atb` bit-for-bit — NNLS is deterministic, so identical
-/// inputs make the cached output exact, not approximate.
-#[derive(Debug, Clone)]
-struct WarmStep {
-    entered: usize,
-    atb: Vec<f64>,
-    x_sub: Vec<f64>,
-}
-
-/// A cached full Gram column `G[:,j] = AᵀA eⱼ` plus its non-zero index
-/// list. Correlation downdates iterate only `nnz`: a skipped entry has
-/// `g == 0.0`, so its update `c ← c − Δx·0` is an exact no-op (an f64
-/// accumulator can never flip to −0.0 by adding ±0.0), and the error
-/// bound built from the touched entries' maxima stays conservative —
-/// untouched entries incur zero new rounding. On review design matrices
-/// most column pairs share no aspect row, so `nnz` is short and the
-/// downdate cost drops from `O(n)` to `O(nnz(G[:,j]))`.
-#[derive(Debug, Clone)]
-struct GramCol {
-    values: Box<[f64]>,
-    nnz: Box<[u32]>,
-}
-
-impl GramCol {
-    fn new(values: Vec<f64>) -> Self {
-        let nnz: Vec<u32> = values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v != 0.0)
-            .map(|(k, _)| k as u32)
-            .collect();
-        GramCol {
-            values: values.into_boxed_slice(),
-            nnz: nnz.into_boxed_slice(),
-        }
-    }
-}
-
-/// Cross-call cache for [`nomp_path_warm`]: the previous completed
-/// pursuit's trajectory and path for one design matrix, plus lazily
-/// filled full Gram columns shared by replay validation and the
-/// incremental correlation downdates.
-///
-/// A state is self-validating against the matrix it is handed: every call
-/// recomputes the column norms (the same pass the cold engine makes) and
-/// a bitwise mismatch against the cached norms — or a shape change —
-/// conservatively drops every matrix-derived cache. Reusing one state
-/// across *different* matrices that collide on shape and column norms is
-/// a caller contract violation; the intended use is one state per item
-/// across the alternating sweeps of CompaReSetS+, where the design matrix
-/// is identical between rounds and only the target changes.
-#[derive(Debug, Clone, Default)]
-pub struct WarmState {
-    /// `(rows, cols)` the caches below describe; `None` = empty state.
-    shape: Option<(usize, usize)>,
-    /// [`opts_key`] of the cached trajectory.
-    opts: (usize, u64, u64),
-    /// Column norms of the cached matrix, compared bitwise each call.
-    col_norms: Vec<f64>,
-    /// Lazily cached full Gram columns `G[:,j] = AᵀA eⱼ` (with non-zero
-    /// index lists for the sparse downdates), filled the first time atom
-    /// `j` enters a pursuit and reused across calls.
-    gram_cols: Vec<Option<GramCol>>,
-    /// Target of the cached trajectory.
-    target: Vec<f64>,
-    /// Per-iteration trajectory of the cached (completed) pursuit.
-    steps: Vec<WarmStep>,
-    /// The cached full budget path.
-    path: Vec<NompResult>,
-    /// Whether `target`/`steps`/`path` describe a completed pursuit.
-    trajectory: bool,
-    /// Scratch: incrementally maintained correlations (within one call).
-    corr: Vec<f64>,
-    /// Scratch: previous dense `x`, for the `Δx` downdates.
-    x_prev: Vec<f64>,
-}
-
-impl WarmState {
-    /// An empty state; caches fill on first use.
-    pub fn new() -> Self {
-        WarmState::default()
-    }
-
-    /// Drop every cache. Call when the design matrix the state was warmed
-    /// on may have changed in ways the self-validation should not be
-    /// trusted to catch (e.g. an incremental session mutated the item).
-    pub fn invalidate(&mut self) {
-        self.shape = None;
-        self.col_norms.clear();
-        self.gram_cols.clear();
-        self.target.clear();
-        self.steps.clear();
-        self.path.clear();
-        self.trajectory = false;
-    }
-
-    /// Would [`nomp_path_warm`] on `(b, opts)` take the full-reuse fast
-    /// path? True when a completed trajectory is cached under the same
-    /// options and a bit-equal target. The caller asserts the design
-    /// matrix is unchanged — this query skips the norm validation the
-    /// engine itself performs, so higher layers can skip *their own*
-    /// recomputation (rounding, candidate evaluation) too.
-    pub fn full_reuse_ready(&self, b: &[f64], opts: NompOptions) -> bool {
-        self.trajectory && self.opts == opts_key(opts) && self.target == b
-    }
-
-    /// Count a full-reuse answered above the engine into `metrics`,
-    /// exactly as the engine's own fast path would: one pursuit, every
-    /// cached iteration as a warm-start hit, every path entry as a
-    /// snapshot, and no refits.
-    pub fn record_full_reuse(&self, metrics: Option<&SolverMetrics>) {
-        if let Some(mm) = metrics {
-            SolverMetrics::incr(&mm.nomp_pursuits);
-            SolverMetrics::add(&mm.nomp_iterations, self.steps.len() as u64);
-            SolverMetrics::add(&mm.warm_start_hits, self.steps.len() as u64);
-            SolverMetrics::add(&mm.path_snapshots, self.path.len() as u64);
-        }
-    }
-}
-
-/// [`nomp_path_ctl`] with a [`WarmState`] carried across calls against the
-/// same design matrix.
-///
-/// Three levels of reuse, each validated rather than assumed:
-///
-/// 1. **Full-target reuse.** If the cached trajectory was completed under
-///    the same options and a bit-equal target (and the matrix validates),
-///    the cached path *is* this call's answer — a deterministic engine
-///    re-run on identical inputs — and is returned without iterating.
-/// 2. **Validated replay.** Otherwise the pursuit runs, but each cached
-///    atom is checked against the live argmax; while they agree and the
-///    refit's `Aᵀb` inputs match the cached step bit-for-bit, the cached
-///    refit output is reused (NNLS on identical inputs is deterministic).
-///    The first mismatch truncates the replay — counted once in
-///    `warm_start_truncations` — and the pursuit continues cold.
-/// 3. **Incremental correlations.** Executed iterations maintain `Aᵀr`
-///    by Gram downdates (`c ← c − Δx_j·G[:,j]`) instead of a full
-///    `O(nnz)` scan. Downdated values drift from the exact `Aᵀr` in the
-///    low-order bits, so the engine carries a conservative absolute
-///    error bound alongside them: an argmax is only accepted when its
-///    winner beats both the runner-up and the zero stopping threshold
-///    by more than twice the bound (normalised by the smallest positive
-///    column norm) — otherwise the correlations collapse to an exact
-///    recompute and the scan reruns on cold-identical floats. Combined
-///    with the periodic refresh every `CORR_RECOMPUTE_PERIOD`
-///    iterations and the near-floor safety recompute, every atom choice
-///    is provably the cold engine's choice, not just probably
-///    (additionally pinned by `warm_engine_matches_cold_engine_exactly`
-///    and the full-scale eval regeneration).
-///
-/// A cancelled pursuit never populates the trajectory cache: its path is
-/// a truncated anytime state, not a completed answer.
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path_warm<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-    warm: &mut WarmState,
-    ctl: SolveCtl<'_>,
-) -> Result<Vec<NompResult>, LinalgError> {
-    let metrics = ctl.metrics;
-    let m = a.rows();
-    let n = a.cols();
-    if b.len() != m {
-        return Err(LinalgError::DimensionMismatch {
-            context: "nomp",
-            expected: m,
-            actual: b.len(),
-        });
-    }
-    if opts.max_atoms == 0 {
-        return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
-    }
-    if !vector::all_finite(b) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp rhs",
-        });
-    }
-
-    if let Some(mm) = metrics {
-        SolverMetrics::incr(&mm.nomp_pursuits);
-    }
-    let pursuit_start = metrics.map(|_| std::time::Instant::now());
-    let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = opts.max_atoms);
-    let _span_guard = span.enter();
-
-    ws.reset(m, n);
-
-    // Same norm pass as the cold engine (doubles as the finiteness scan of
-    // the design matrix) — and the warm state's validation gate: a bitwise
-    // mismatch against the cached norms means the matrix changed, which
-    // conservatively drops every matrix-derived cache.
-    for j in 0..n {
-        a.column_into(j, &mut ws.col_buf);
-        ws.col_norms[j] = vector::norm2(&ws.col_buf);
-    }
-    if !vector::all_finite(&ws.col_norms) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp design matrix",
-        });
-    }
-    if warm.shape != Some((m, n)) || warm.col_norms != ws.col_norms {
-        warm.shape = Some((m, n));
-        warm.col_norms.clear();
-        warm.col_norms.extend_from_slice(&ws.col_norms);
-        warm.gram_cols.clear();
-        warm.gram_cols.resize(n, None);
-        warm.trajectory = false;
-    }
-    if warm.opts != opts_key(opts) {
-        warm.opts = opts_key(opts);
-        warm.trajectory = false;
-    }
-
-    // Level 1: full-target reuse.
-    if warm.trajectory && warm.target == b {
-        if let Some(mm) = metrics {
-            SolverMetrics::add(&mm.nomp_iterations, warm.steps.len() as u64);
-            SolverMetrics::add(&mm.warm_start_hits, warm.steps.len() as u64);
-            SolverMetrics::add(&mm.path_snapshots, warm.path.len() as u64);
-        }
-        let out = warm.path.clone();
-        if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
-            SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
-        }
-        return Ok(out);
-    }
-
-    ws.residual.copy_from_slice(b);
-    let mut sq_res = vector::dot(&ws.residual, &ws.residual);
-    let sq_b = sq_res;
-
-    // Exact correlations at pursuit start; downdated thereafter.
-    count_corr_scan(a, &ws.residual, metrics);
-    warm.corr = a.tr_matvec(&ws.residual)?;
-    warm.x_prev.clear();
-    warm.x_prev.resize(n, 0.0);
-
-    // Replay cursor into the cached trajectory; `None` once truncated (or
-    // when no trajectory is cached / the cached one is exhausted).
-    let mut replay: Option<usize> = warm.trajectory.then_some(0);
-    let mut new_steps: Vec<WarmStep> = Vec::new();
-    let mut cancelled = false;
-    let mut since_exact: u64 = 0;
-    // Absolute error bound on the downdated correlations versus the exact
-    // `Aᵀr`; zero right after any exact recompute. The argmax below only
-    // trusts the downdated values when the decision margin exceeds this
-    // bound — that is what pins warm atom choices bitwise to cold ones.
-    let mut corr_err: f64 = 0.0;
-    let norm_min = ws
-        .col_norms
-        .iter()
-        .copied()
-        .filter(|&v| v > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    let norm_max = ws.col_norms.iter().copied().fold(0.0_f64, f64::max);
-
-    let mut results: Vec<NompResult> = Vec::with_capacity(opts.max_atoms);
-
-    loop {
-        // Budget checkpoints, identical to the cold engine.
-        while results.len() < opts.max_atoms {
-            let l = results.len() + 1;
-            if ws.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
-                if let Some(mm) = metrics {
-                    SolverMetrics::incr(&mm.path_snapshots);
-                }
-                results.push(ws.snapshot(sq_res));
-            } else {
-                break;
-            }
-        }
-        if results.len() == opts.max_atoms {
-            break;
-        }
-
-        if ctl.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-
-        // Argmax over the incrementally maintained correlations. The
-        // decision is accepted only when it is *provably* the cold
-        // engine's decision: each downdated entry is within `corr_err` of
-        // the exact `Aᵀr` entry, so a winner that clears the runner-up
-        // and the zero stopping threshold by more than `2·corr_err /
-        // norm_min` wins under the exact values too (the cold argmax
-        // breaks ties towards the lower index with a strict `>`, and a
-        // super-margin winner never ties). Anything closer collapses to
-        // an exact recompute and a rescan on cold-identical floats.
-        let mut best_j = None;
-        for _attempt in 0..2 {
-            best_j = None;
-            let mut best_c = 0.0_f64;
-            let mut runner_c = 0.0_f64;
-            for (j, &cj) in warm.corr.iter().enumerate() {
-                if ws.in_support[j] || ws.col_norms[j] == 0.0 {
-                    continue;
-                }
-                let c = cj / ws.col_norms[j];
-                if c > best_c {
-                    runner_c = best_c;
-                    best_c = c;
-                    best_j = Some(j);
-                } else if c > runner_c {
-                    runner_c = c;
-                }
-            }
-            let margin = 2.0 * corr_err / norm_min;
-            let decisive = corr_err == 0.0
-                || (best_j.is_some() && best_c - runner_c > margin && best_c > margin);
-            if decisive {
-                break;
-            }
-            count_corr_scan(a, &ws.residual, metrics);
-            warm.corr = a.tr_matvec(&ws.residual)?;
-            corr_err = 0.0;
-            since_exact = 0;
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.corr_exact_recomputes);
-            }
-        }
-        let Some(j_star) = best_j else {
-            break;
-        };
-
-        // Replay validation: the cached atom must still be the argmax.
-        if let Some(k) = replay {
-            match warm.steps.get(k) {
-                Some(step) if step.entered == j_star => {}
-                Some(_) => {
-                    replay = None;
-                    if let Some(mm) = metrics {
-                        SolverMetrics::incr(&mm.warm_start_truncations);
-                    }
-                }
-                // Cached trajectory exhausted without disagreeing: the
-                // prefix fully matched, there is just nothing left to
-                // replay — not a truncation.
-                None => replay = None,
-            }
-        }
-
-        if let Some(mm) = metrics {
-            SolverMetrics::incr(&mm.nomp_iterations);
-        }
-
-        // Enter j_star. The full Gram column serves both the refit row
-        // extension and the later downdates; fill it once per atom and
-        // keep it across calls.
-        if warm.gram_cols[j_star].is_none() {
-            if let Some(mm) = metrics {
-                if a.is_sparse() {
-                    SolverMetrics::incr(&mm.sparse_gram_builds);
-                }
-            }
-            let g: Vec<f64> = (0..n).map(|k| a.column_dot(k, j_star)).collect();
-            warm.gram_cols[j_star] = Some(GramCol::new(g));
-        }
-        if let Some(gcol) = warm.gram_cols[j_star].as_ref() {
-            for (row, &k) in ws.gram_rows.iter_mut().zip(ws.support.iter()) {
-                row.push(gcol.values[k]);
-            }
-            let mut new_row: Vec<f64> = ws.support.iter().map(|&k| gcol.values[k]).collect();
-            new_row.push(gcol.values[j_star]);
-            ws.gram_rows.push(new_row);
-        }
-        ws.atb.push(a.column_dot_vec(j_star, b));
-        ws.support.push(j_star);
-        ws.in_support[j_star] = true;
-        // Snapshot the refit inputs before pruning compacts them — this is
-        // what the next call's replay compares against.
-        let step_atb = ws.atb.clone();
-
-        // Refit — memoized when the cached step's inputs match exactly.
-        let mut cached_x: Option<Vec<f64>> = None;
-        if let Some(k) = replay {
-            if let Some(step) = warm.steps.get(k) {
-                if step.atb == ws.atb {
-                    cached_x = Some(step.x_sub.clone());
-                } else {
-                    replay = None;
-                    if let Some(mm) = metrics {
-                        SolverMetrics::incr(&mm.warm_start_truncations);
-                    }
-                }
-            }
-        }
-        let x_sub = match cached_x {
-            Some(x) => {
-                if let Some(mm) = metrics {
-                    SolverMetrics::incr(&mm.warm_start_hits);
-                }
-                replay = replay.map(|k| k + 1);
-                x
-            }
-            None => {
-                if let Some(mm) = metrics {
-                    if ws.support.len() > 1 {
-                        SolverMetrics::incr(&mm.gram_cache_hits);
-                    }
-                }
-                let g = Matrix::from_rows(&ws.gram_rows)?;
-                let refit_start = metrics.map(|_| std::time::Instant::now());
-                let (x_sub, refit_diag) = nnls_gram_capped_ctl(&g, &ws.atb, ctl)?;
-                if let Some(mm) = metrics {
-                    if let Some(t) = refit_start {
-                        SolverMetrics::add_time(&mm.refit_nanos, t.elapsed());
-                    }
-                    SolverMetrics::incr(&mm.nnls_refits);
-                    SolverMetrics::add(&mm.nnls_iterations, refit_diag.iterations as u64);
-                    if !refit_diag.converged {
-                        SolverMetrics::incr(&mm.nnls_cap_hits);
-                        tracing::warn!(
-                            "nnls refit hit its iteration cap after {} outer iterations",
-                            refit_diag.iterations
-                        );
-                    }
-                }
-                x_sub
-            }
-        };
-
-        // Prune and compact, identical to the cold engine.
-        let entering_pos = ws.support.len() - 1;
-        let pruned_entering = x_sub[entering_pos] <= 0.0;
-        let mut kept_pos: Vec<usize> = Vec::with_capacity(ws.support.len());
-        for (pos, v) in x_sub.iter().enumerate() {
-            if *v > 0.0 {
-                kept_pos.push(pos);
-            } else {
-                ws.in_support[ws.support[pos]] = false;
-            }
-        }
-        ws.x.iter_mut().for_each(|v| *v = 0.0);
-        for (v, &j) in x_sub.iter().zip(ws.support.iter()) {
-            if *v > 0.0 {
-                ws.x[j] = *v;
-            }
-        }
-        if kept_pos.len() < ws.support.len() {
-            ws.support = kept_pos.iter().map(|&p| ws.support[p]).collect();
-            ws.atb = kept_pos.iter().map(|&p| ws.atb[p]).collect();
-            ws.gram_rows = kept_pos
-                .iter()
-                .map(|&p| kept_pos.iter().map(|&q| ws.gram_rows[p][q]).collect())
-                .collect();
-        }
-        new_steps.push(WarmStep {
-            entered: j_star,
-            atb: step_atb,
-            x_sub,
-        });
-
-        // Residual update, identical to the cold engine — the stopping
-        // decisions below see exactly the floats a cold run would.
-        ws.residual.copy_from_slice(b);
-        let ax = a.matvec(&ws.x)?;
-        for (r, v) in ws.residual.iter_mut().zip(ax.iter()) {
-            *r -= v;
-        }
-        let new_sq = vector::dot(&ws.residual, &ws.residual);
-
-        // Correlation maintenance: downdate `c ← c − Δx_j·G[:,j]` over the
-        // atoms whose coefficient changed, with exact recomputes bounding
-        // drift (periodic, plus the near-perfect-fit safety floor where
-        // the downdated values would be cancellation-dominated).
-        since_exact += 1;
-        let near_floor =
-            new_sq <= CORR_SAFETY_FLOOR * sq_b.max(1e-30) || new_sq <= opts.residual_tolerance;
-        if since_exact >= CORR_RECOMPUTE_PERIOD || near_floor {
-            count_corr_scan(a, &ws.residual, metrics);
-            warm.corr = a.tr_matvec(&ws.residual)?;
-            since_exact = 0;
-            corr_err = 0.0;
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.corr_exact_recomputes);
-            }
-        } else {
-            let mut updates = 0u64;
-            for j in 0..n {
-                let dx = ws.x[j] - warm.x_prev[j];
-                if dx == 0.0 {
-                    continue;
-                }
-                // Every atom with a coefficient entered some pursuit on
-                // this matrix, so its Gram column is cached. Only the
-                // stored non-zeros of `G[:,j]` are visited: a zero entry's
-                // update is an exact no-op (see [`GramCol`]), so the
-                // touched values — and hence the selections — are bitwise
-                // those of the full-column walk at a fraction of the cost
-                // on sparse instances.
-                if let Some(gcol) = warm.gram_cols[j].as_ref() {
-                    let mut gmax = 0.0_f64;
-                    let mut cmax = 0.0_f64;
-                    for &k in gcol.nnz.iter() {
-                        let g = gcol.values[k as usize];
-                        let cv = &mut warm.corr[k as usize];
-                        *cv -= dx * g;
-                        gmax = gmax.max(g.abs());
-                        cmax = cmax.max(cv.abs());
-                    }
-                    // Per-entry rounding of `fl(c − fl(dx·g))`: one ulp
-                    // of the product plus one of the difference, bounded
-                    // by `ε·(|dx|·max|G[:,j]| + max|c|)` with a 2×
-                    // safety factor (maxima over the touched entries —
-                    // untouched ones incur zero rounding). The downdate
-                    // is also one exact mathematical identity away from
-                    // `Aᵀr`, so no model error enters — only these
-                    // roundings.
-                    corr_err += 2.0 * f64::EPSILON * (dx.abs() * gmax + cmax);
-                    updates += 1;
-                }
-            }
-            if let Some(mm) = metrics {
-                SolverMetrics::add(&mm.corr_incremental_updates, updates);
-            }
-            // The cold engine recomputes `Aᵀr` from a freshly rounded
-            // residual each iteration, so beyond the downdate roundings
-            // above the drift also covers (a) the two residual vectors'
-            // own rounding (`r = fl(b − fl(Ax))` at both ends of the
-            // downdate identity) projected through any column, and (b)
-            // the summation rounding of the exact-path dot products.
-            // All are `O(ε·m·‖col‖·‖r‖)`-sized; a generous multiple is
-            // added per iteration (over-conservatism only costs an extra
-            // exact recompute on a near-tie, never correctness).
-            corr_err += f64::EPSILON
-                * (m as f64)
-                * norm_max
-                * (2.0 * sq_b.sqrt() + 2.0 * sq_res.sqrt() + 3.0 * new_sq.sqrt());
-        }
-        warm.x_prev.copy_from_slice(&ws.x);
-
-        let improved = sq_res - new_sq > opts.min_relative_improvement * sq_res.max(1e-30);
-        sq_res = new_sq;
-        if pruned_entering || !improved {
-            break;
-        }
-    }
-
+    // state.
     while results.len() < opts.max_atoms {
         if let Some(mm) = metrics {
             SolverMetrics::incr(&mm.path_snapshots);
         }
         results.push(ws.snapshot(sq_res));
     }
-
-    // Store the new trajectory — but never from a cancelled pursuit, whose
-    // path is a truncated anytime state rather than a completed answer.
-    // The non-consuming peek also catches a token that fired *inside* an
-    // NNLS refit (degrading that refit's fit) without reaching the
-    // pursuit-level poll again before the loop ended.
-    let cancelled = cancelled || ctl.cancel.is_some_and(CancelToken::fired);
-    if cancelled {
-        warm.trajectory = false;
-        warm.target.clear();
-        warm.steps.clear();
-        warm.path.clear();
-    } else {
-        warm.trajectory = true;
-        warm.target.clear();
-        warm.target.extend_from_slice(b);
-        warm.steps = new_steps;
-        warm.path = results.clone();
-    }
-
     if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
         SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
     }
@@ -1144,7 +468,7 @@ pub fn with_pooled_workspace<R>(f: impl FnOnce(&mut NompWorkspace) -> R) -> R {
 /// reference code for the pursuit itself.
 ///
 /// # Errors
-/// As [`nomp`].
+/// As [`nomp_path`].
 pub fn nomp_reference<M: DesignMatrix>(
     a: &M,
     b: &[f64],
@@ -1256,6 +580,25 @@ mod tests {
         NompOptions::with_max_atoms(l)
     }
 
+    /// The budget path of a fresh, unmetered pursuit.
+    fn path<M: DesignMatrix>(
+        a: &M,
+        b: &[f64],
+        opts: NompOptions,
+    ) -> Result<Vec<NompResult>, LinalgError> {
+        nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+    }
+
+    /// The result at budget `opts.max_atoms`: the last entry of its path.
+    fn nomp<M: DesignMatrix>(
+        a: &M,
+        b: &[f64],
+        opts: NompOptions,
+    ) -> Result<NompResult, LinalgError> {
+        let mut p = path(a, b, opts)?;
+        Ok(p.pop().expect("a path has max_atoms > 0 entries"))
+    }
+
     #[test]
     fn recovers_single_atom() {
         // b is exactly 2 × column 1.
@@ -1311,17 +654,15 @@ mod tests {
     fn zero_budget_is_an_error() {
         let a = Matrix::identity(2);
         assert!(matches!(
-            nomp(&a, &[1.0, 1.0], opts(0)),
+            path(&a, &[1.0, 1.0], opts(0)),
             Err(LinalgError::InvalidArgument(_))
         ));
-        assert!(nomp_path(&a, &[1.0, 1.0], opts(0)).is_err());
     }
 
     #[test]
     fn rejects_bad_rhs() {
         let a = Matrix::identity(2);
-        assert!(nomp(&a, &[1.0], opts(1)).is_err());
-        assert!(nomp_path(&a, &[1.0], opts(1)).is_err());
+        assert!(path(&a, &[1.0], opts(1)).is_err());
     }
 
     #[test]
@@ -1330,7 +671,6 @@ mod tests {
         a[(0, 0)] = f64::NAN;
         for r in [
             nomp(&a, &[1.0, 1.0], opts(1)).map(|r| r.x),
-            nomp_path(&a, &[1.0, 1.0], opts(1)).map(|p| p[0].x.clone()),
             nomp_reference(&a, &[1.0, 1.0], opts(1)).map(|r| r.x),
         ] {
             assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
@@ -1417,14 +757,27 @@ mod tests {
         (m, b)
     }
 
+    fn assert_paths_bit_equal(lhs: &[NompResult], rhs: &[NompResult], what: &str) {
+        assert_eq!(lhs.len(), rhs.len(), "{what}: path lengths");
+        for (l, r) in lhs.iter().zip(rhs.iter()) {
+            assert_eq!(l.support, r.support, "{what}: support");
+            assert_eq!(l.x, r.x, "{what}: coefficients");
+            assert_eq!(
+                l.sq_residual.to_bits(),
+                r.sq_residual.to_bits(),
+                "{what}: residual"
+            );
+        }
+    }
+
     #[test]
     fn path_entries_match_standalone_runs_exactly() {
-        // The core shared-path guarantee: path[l-1] is bit-identical to a
-        // standalone budget-l pursuit on the same engine.
+        // The core shared-path guarantee: path[l-1] is bit-identical to
+        // the end of a pursuit that stops at budget l.
         for seed in 1..=8u64 {
             let (a, b) = random_instance(12, 9, seed);
             let lmax = 6;
-            let path = nomp_path(&a, &b, opts(lmax)).unwrap();
+            let path = path(&a, &b, opts(lmax)).unwrap();
             assert_eq!(path.len(), lmax);
             for l in 1..=lmax {
                 let single = nomp(&a, &b, opts(l)).unwrap();
@@ -1444,8 +797,8 @@ mod tests {
         for seed in 1..=4u64 {
             let (a, b) = random_instance(15, 10, seed);
             let sp = CscMatrix::from_dense(&a, 0.0);
-            let dense_path = nomp_path(&a, &b, opts(5)).unwrap();
-            let sparse_path = nomp_path(&sp, &b, opts(5)).unwrap();
+            let dense_path = path(&a, &b, opts(5)).unwrap();
+            let sparse_path = path(&sp, &b, opts(5)).unwrap();
             for (d, s) in dense_path.iter().zip(sparse_path.iter()) {
                 assert_eq!(d.support, s.support);
                 assert_eq!(d.x, s.x);
@@ -1476,23 +829,36 @@ mod tests {
         let mut ws = NompWorkspace::new();
         let (a1, b1) = random_instance(10, 8, 3);
         let (a2, b2) = random_instance(6, 12, 4);
-        let fresh1 = nomp(&a1, &b1, opts(4)).unwrap();
-        let fresh2 = nomp(&a2, &b2, opts(4)).unwrap();
+        let fresh1 = path(&a1, &b1, opts(4)).unwrap();
+        let fresh2 = path(&a2, &b2, opts(4)).unwrap();
         // Interleave differently shaped problems through one workspace.
-        let reused1 = nomp_with(&a1, &b1, opts(4), &mut ws).unwrap();
-        let reused2 = nomp_with(&a2, &b2, opts(4), &mut ws).unwrap();
-        let reused1_again = nomp_with(&a1, &b1, opts(4), &mut ws).unwrap();
-        assert_eq!(fresh1.x, reused1.x);
-        assert_eq!(fresh2.x, reused2.x);
-        assert_eq!(fresh1.x, reused1_again.x);
-        assert_eq!(fresh1.support, reused1_again.support);
+        let ctl = SolveCtl::default();
+        let reused1 = nomp_path(&a1, &b1, opts(4), &mut ws, ctl).unwrap();
+        let reused2 = nomp_path(&a2, &b2, opts(4), &mut ws, ctl).unwrap();
+        let reused1_again = nomp_path(&a1, &b1, opts(4), &mut ws, ctl).unwrap();
+        assert_paths_bit_equal(&fresh1, &reused1, "first reuse");
+        assert_paths_bit_equal(&fresh2, &reused2, "shape switch");
+        assert_paths_bit_equal(&fresh1, &reused1_again, "back again");
+    }
+
+    #[test]
+    fn workspace_counts_the_last_pursuits_iterations() {
+        let metrics = SolverMetrics::new();
+        let mut ws = NompWorkspace::new();
+        let mut counted = 0;
+        for seed in 1..=4u64 {
+            let (a, b) = random_instance(12, 9, seed);
+            nomp_path(&a, &b, opts(5), &mut ws, SolveCtl::metered(Some(&metrics))).unwrap();
+            counted += ws.iterations();
+            assert_eq!(counted, metrics.snapshot().nomp_iterations, "seed {seed}");
+        }
     }
 
     #[test]
     fn path_budgets_beyond_column_count_saturate() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let b = vec![1.0, 1.0];
-        let path = nomp_path(&a, &b, opts(5)).unwrap();
+        let path = path(&a, &b, opts(5)).unwrap();
         assert_eq!(path.len(), 5);
         // Budgets 2..=5 all saturate at the full 2-column support.
         for l in 2..=5 {
@@ -1501,210 +867,21 @@ mod tests {
         }
     }
 
-    fn warm_path(
-        a: &Matrix,
-        b: &[f64],
-        l: usize,
-        ws: &mut NompWorkspace,
-        warm: &mut WarmState,
-    ) -> Vec<NompResult> {
-        nomp_path_warm(a, b, opts(l), ws, warm, SolveCtl::default()).unwrap()
-    }
-
-    fn assert_paths_bit_equal(lhs: &[NompResult], rhs: &[NompResult], what: &str) {
-        assert_eq!(lhs.len(), rhs.len(), "{what}: path lengths");
-        for (l, r) in lhs.iter().zip(rhs.iter()) {
-            assert_eq!(l.support, r.support, "{what}: support");
-            assert_eq!(l.x, r.x, "{what}: coefficients");
-            assert_eq!(
-                l.sq_residual.to_bits(),
-                r.sq_residual.to_bits(),
-                "{what}: residual"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_engine_matches_cold_engine_exactly() {
-        // A fresh warm state (nothing to replay) exercises the incremental
-        // correlation kernel against the cold engine's full scans: the
-        // selections, coefficients, and residuals must be bit-identical.
-        for seed in 1..=10u64 {
-            let (a, b) = random_instance(14, 11, seed);
-            for l in [1, 3, 6] {
-                let cold = nomp_path(&a, &b, opts(l)).unwrap();
-                let warm = warm_path(&a, &b, l, &mut NompWorkspace::new(), &mut WarmState::new());
-                assert_paths_bit_equal(&cold, &warm, &format!("seed {seed} l {l}"));
-            }
-        }
-    }
-
-    #[test]
-    fn warm_engine_matches_reference_implementation() {
-        // Same equal-selection oracle the cold engine is held to.
-        for seed in 1..=10u64 {
-            let (a, b) = random_instance(14, 11, seed);
-            let mut ws = NompWorkspace::new();
-            let mut warm = WarmState::new();
-            for l in [1, 3, 5] {
-                let path = warm_path(&a, &b, l, &mut ws, &mut warm);
-                let slow = nomp_reference(&a, &b, opts(l)).unwrap();
-                assert_eq!(path[l - 1].support, slow.support, "seed {seed} l {l}");
-                for (xf, xs) in path[l - 1].x.iter().zip(slow.x.iter()) {
-                    assert!((xf - xs).abs() < 1e-10, "seed {seed} l {l}: {xf} vs {xs}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn full_target_reuse_is_bit_identical_and_skips_refits() {
-        let metrics = SolverMetrics::new();
-        let ctl = SolveCtl::metered(Some(&metrics));
-        let (a, b) = random_instance(12, 9, 5);
-        let mut ws = NompWorkspace::new();
-        let mut warm = WarmState::new();
-        let first = nomp_path_warm(&a, &b, opts(5), &mut ws, &mut warm, ctl).unwrap();
-        let after_first = metrics.snapshot();
-        assert!(warm.full_reuse_ready(&b, opts(5)));
-        assert!(!warm.full_reuse_ready(&b, opts(4)), "options are keyed");
-        let second = nomp_path_warm(&a, &b, opts(5), &mut ws, &mut warm, ctl).unwrap();
-        let snap = metrics.snapshot();
-        assert_paths_bit_equal(&first, &second, "full reuse");
-        assert_eq!(snap.nnls_refits, after_first.nnls_refits, "no refit ran");
-        assert_eq!(
-            snap.nomp_iterations - after_first.nomp_iterations,
-            snap.warm_start_hits - after_first.warm_start_hits,
-            "every reused iteration is a warm-start hit"
-        );
-        assert!(snap.warm_start_hits > 0);
-        assert_eq!(snap.warm_start_truncations, 0);
-        assert_eq!(
-            snap.nnls_refits,
-            snap.nomp_iterations - snap.warm_start_hits,
-            "corrected refit identity"
-        );
-    }
-
-    #[test]
-    fn warm_replay_under_changed_target_matches_cold_start() {
-        // Perturb the target between calls: the replay must validate its
-        // way to exactly the cold answer, whether the prefix survives or
-        // the first atom already disagrees.
-        for seed in 1..=8u64 {
-            let (a, b) = random_instance(13, 10, seed);
-            let mut ws = NompWorkspace::new();
-            let mut warm = WarmState::new();
-            let _ = warm_path(&a, &b, 5, &mut ws, &mut warm);
-            for (scale, shift) in [(1.0, 0.05), (1.0, -0.4), (-1.0, 0.0), (0.5, 0.01)] {
-                let b2: Vec<f64> = b
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| scale * v + if i % 3 == 0 { shift } else { 0.0 })
-                    .collect();
-                let cold = nomp_path(&a, &b2, opts(5)).unwrap();
-                let replayed = warm_path(&a, &b2, 5, &mut ws, &mut warm);
-                assert_paths_bit_equal(
-                    &cold,
-                    &replayed,
-                    &format!("seed {seed} scale {scale} shift {shift}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warm_state_detects_a_changed_matrix() {
-        // Same shape, different matrix: the norm validation must drop the
-        // caches instead of replaying a stale trajectory.
-        let (a1, b) = random_instance(12, 9, 2);
-        let (a2, _) = random_instance(12, 9, 7);
-        let metrics = SolverMetrics::new();
-        let ctl = SolveCtl::metered(Some(&metrics));
-        let mut ws = NompWorkspace::new();
-        let mut warm = WarmState::new();
-        let _ = nomp_path_warm(&a1, &b, opts(4), &mut ws, &mut warm, ctl).unwrap();
-        let cold = nomp_path(&a2, &b, opts(4)).unwrap();
-        let switched = nomp_path_warm(&a2, &b, opts(4), &mut ws, &mut warm, ctl).unwrap();
-        assert_paths_bit_equal(&cold, &switched, "matrix switch");
-        // The stale trajectory was invalidated, not truncated mid-replay.
-        assert_eq!(metrics.snapshot().warm_start_truncations, 0);
-        // And differently-shaped problems reuse the same state safely.
-        let (a3, b3) = random_instance(7, 12, 3);
-        let cold3 = nomp_path(&a3, &b3, opts(4)).unwrap();
-        let warm3 =
-            nomp_path_warm(&a3, &b3, opts(4), &mut ws, &mut warm, SolveCtl::default()).unwrap();
-        assert_paths_bit_equal(&cold3, &warm3, "shape switch");
-    }
-
-    #[test]
-    fn cancelled_pursuit_never_populates_the_trajectory_cache() {
-        use comparesets_obs::CancelToken;
-        let (a, b) = random_instance(12, 9, 4);
-        let mut ws = NompWorkspace::new();
-        let mut warm = WarmState::new();
-        // Fire after one poll: the pursuit stops with a truncated path.
-        let token = CancelToken::cancel_after(1);
-        let ctl = SolveCtl::new(None, Some(&token));
-        let truncated = nomp_path_warm(&a, &b, opts(5), &mut ws, &mut warm, ctl).unwrap();
-        assert!(!warm.full_reuse_ready(&b, opts(5)));
-        // The next (uncancelled) call must compute the real answer, not
-        // echo the truncated state.
-        let full = warm_path(&a, &b, 5, &mut ws, &mut warm);
-        let cold = nomp_path(&a, &b, opts(5)).unwrap();
-        assert_paths_bit_equal(&cold, &full, "after cancelled warm-up");
-        assert!(truncated[4].support.len() <= full[4].support.len());
-    }
-
-    #[test]
-    fn warm_engine_errors_match_cold_engine() {
-        let mut bad = Matrix::identity(2);
-        bad[(0, 0)] = f64::NAN;
-        let mut ws = NompWorkspace::new();
-        let mut warm = WarmState::new();
-        for (matrix, rhs, l) in [
-            (&bad, &[1.0, 1.0][..], 1),
-            (&Matrix::identity(2), &[1.0, f64::NAN][..], 1),
-        ] {
-            let r = nomp_path_warm(
-                matrix,
-                rhs,
-                opts(l),
-                &mut ws,
-                &mut warm,
-                SolveCtl::default(),
-            );
-            assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
-        }
-        let a = Matrix::identity(2);
-        assert!(
-            nomp_path_warm(&a, &[1.0], opts(1), &mut ws, &mut warm, SolveCtl::default()).is_err()
-        );
-        assert!(nomp_path_warm(
-            &a,
-            &[1.0, 1.0],
-            opts(0),
-            &mut ws,
-            &mut warm,
-            SolveCtl::default()
-        )
-        .is_err());
-    }
-
     #[test]
     fn pooled_workspace_matches_fresh_and_nests() {
         let (a, b) = random_instance(10, 8, 6);
-        let fresh = nomp_path(&a, &b, opts(4)).unwrap();
+        let ctl = SolveCtl::default();
+        let fresh = path(&a, &b, opts(4)).unwrap();
         let pooled = with_pooled_workspace(|ws| {
             // Re-entrant draw: the inner call gets its own workspace.
-            let inner = with_pooled_workspace(|ws2| nomp_path_with(&a, &b, opts(4), ws2).unwrap());
-            let outer = nomp_path_with(&a, &b, opts(4), ws).unwrap();
+            let inner = with_pooled_workspace(|ws2| nomp_path(&a, &b, opts(4), ws2, ctl).unwrap());
+            let outer = nomp_path(&a, &b, opts(4), ws, ctl).unwrap();
             assert_paths_bit_equal(&inner, &outer, "nested pool draws");
             outer
         });
         assert_paths_bit_equal(&fresh, &pooled, "pooled vs fresh");
         // Second borrow from the (now warm) pool still resets state.
-        let again = with_pooled_workspace(|ws| nomp_path_with(&a, &b, opts(4), ws).unwrap());
+        let again = with_pooled_workspace(|ws| nomp_path(&a, &b, opts(4), ws, ctl).unwrap());
         assert_paths_bit_equal(&fresh, &again, "pool reuse");
     }
 }

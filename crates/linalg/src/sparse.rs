@@ -227,48 +227,6 @@ impl CscMatrix {
         CscMatrix::from_columns(dense.rows(), &columns)
     }
 
-    /// Append one column from a `(row, value)` entry list, in place.
-    /// Entries may be unordered; duplicate rows are summed; zeros are
-    /// dropped — the same normalisation as [`CscMatrix::try_from_columns`],
-    /// so growing a matrix column-by-column is indistinguishable from
-    /// rebuilding it. This is what lets `IncrementalSession` ingest extend
-    /// a cached design matrix without re-materialising it.
-    ///
-    /// # Errors
-    /// [`LinalgError::DimensionMismatch`] on an out-of-range row index;
-    /// the matrix is left untouched.
-    pub fn try_push_column(&mut self, entries: &[(usize, f64)]) -> Result<(), LinalgError> {
-        for &(r, _) in entries {
-            if r >= self.rows {
-                return Err(LinalgError::DimensionMismatch {
-                    context: "CscMatrix::try_push_column (row index out of range)",
-                    expected: self.rows,
-                    actual: r,
-                });
-            }
-        }
-        let mut sorted: Vec<(usize, f64)> = entries.to_vec();
-        sorted.sort_by_key(|&(r, _)| r);
-        let mut last_row = usize::MAX;
-        for &(r, v) in &sorted {
-            if v == 0.0 {
-                continue;
-            }
-            if r == last_row {
-                if let Some(last) = self.values.last_mut() {
-                    *last += v;
-                }
-            } else {
-                self.row_idx.push(r);
-                self.values.push(v);
-                last_row = r;
-            }
-        }
-        self.col_ptr.push(self.row_idx.len());
-        self.cols += 1;
-        Ok(())
-    }
-
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -559,28 +517,6 @@ mod tests {
         assert_eq!(squashed.nnz(), 2);
         assert_eq!(squashed.get(0, 0), 1.0);
         assert_eq!(squashed.get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn push_column_matches_rebuild() {
-        let cols = vec![
-            vec![(0, 1.0), (2, 4.0)],
-            vec![(2, 5.0)],
-            vec![(1, 3.0), (0, 2.0), (0, 0.5), (2, 0.0)],
-        ];
-        let mut grown = CscMatrix::from_columns(3, &cols[..1]);
-        grown.try_push_column(&cols[1]).unwrap();
-        grown.try_push_column(&cols[2]).unwrap();
-        let rebuilt = CscMatrix::from_columns(3, &cols);
-        assert_eq!(grown, rebuilt);
-    }
-
-    #[test]
-    fn push_column_out_of_range_leaves_matrix_untouched() {
-        let mut s = CscMatrix::from_columns(2, &[vec![(0, 1.0)]]);
-        let before = s.clone();
-        assert!(s.try_push_column(&[(0, 2.0), (7, 1.0)]).is_err());
-        assert_eq!(s, before);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Backend-equality pinning: the CSC sparse path must reproduce the
-//! dense path *bit for bit* across the whole density range, cold and
-//! warm. The solvers treat the backend as a pure wall-clock/memory
+//! dense path *bit for bit* across the whole density range, on fresh and
+//! on reused workspaces. The solvers treat the backend as a pure wall-clock/memory
 //! decision — these tests are what licenses that claim (summation-order
 //! preservation, ±0.0 no-op skipping; ARCHITECTURE.md §13).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use comparesets_linalg::{
-    nomp_path, nomp_path_warm, CscMatrix, Matrix, NompOptions, NompResult, NompWorkspace, WarmState,
-};
+use comparesets_linalg::{nomp_path, CscMatrix, Matrix, NompOptions, NompResult, NompWorkspace};
 use comparesets_obs::SolveCtl;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -34,6 +32,15 @@ fn instance(rows: usize, cols: usize, density: f64, seed: u64) -> (Matrix, Vec<f
     (a, b)
 }
 
+/// The budget path of a fresh, unmetered pursuit.
+fn path<M: comparesets_linalg::DesignMatrix>(
+    a: &M,
+    b: &[f64],
+    opts: NompOptions,
+) -> Vec<NompResult> {
+    nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default()).unwrap()
+}
+
 fn assert_paths_bit_identical(dense: &[NompResult], sparse: &[NompResult], what: &str) {
     assert_eq!(dense.len(), sparse.len(), "{what}: path length");
     for (l, (d, s)) in dense.iter().zip(sparse.iter()).enumerate() {
@@ -57,43 +64,31 @@ fn cold_paths_agree_bitwise_across_densities() {
         let (a, b) = instance(48, 24, density, 0xC0FFEE + i as u64);
         let csc = CscMatrix::from_dense(&a, 0.0);
         let opts = NompOptions::with_max_atoms(5);
-        let dense = nomp_path(&a, &b, opts).unwrap();
-        let sparse = nomp_path(&csc, &b, opts).unwrap();
+        let dense = path(&a, &b, opts);
+        let sparse = path(&csc, &b, opts);
         assert_paths_bit_identical(&dense, &sparse, &format!("density {density}"));
     }
 }
 
 #[test]
-fn warm_paths_agree_bitwise_across_densities_and_reruns() {
-    // The warm engine replays validated trajectories and downdates the
-    // correlation vector incrementally on the sparse backend. Whatever it
-    // reuses, every re-solve must stay bit-identical to the dense warm
-    // run AND to a cold run of the same target.
+fn reused_workspace_paths_agree_bitwise_across_densities_and_reruns() {
+    // Re-solves through one workspace per backend (the alternating
+    // sweeps' pattern) must stay bit-identical to a fresh dense run of
+    // the same target, whatever the previous pursuit left behind.
     for (i, &density) in DENSITIES.iter().enumerate() {
         let (a, b) = instance(48, 24, density, 0xBEEF + i as u64);
         let csc = CscMatrix::from_dense(&a, 0.0);
         let opts = NompOptions::with_max_atoms(5);
-        let mut ws = NompWorkspace::new();
-        let (mut warm_d, mut warm_s) = (WarmState::new(), WarmState::new());
+        let (mut ws_d, mut ws_s) = (NompWorkspace::new(), NompWorkspace::new());
 
-        // Re-solve thrice: identical target (full reuse), then a nudged
-        // target (validated replay / truncation), then back.
+        // Re-solve thrice: a target, a nudged target, then the first again.
         let nudged: Vec<f64> = b.iter().map(|v| v + 0.25).collect();
         for target in [&b, &nudged, &b] {
-            let cold = nomp_path(&a, target, opts).unwrap();
-            let d = nomp_path_warm(&a, target, opts, &mut ws, &mut warm_d, SolveCtl::default())
-                .unwrap();
-            let s = nomp_path_warm(
-                &csc,
-                target,
-                opts,
-                &mut ws,
-                &mut warm_s,
-                SolveCtl::default(),
-            )
-            .unwrap();
-            assert_paths_bit_identical(&cold, &d, &format!("density {density} warm-dense"));
-            assert_paths_bit_identical(&d, &s, &format!("density {density} warm-sparse"));
+            let fresh = path(&a, target, opts);
+            let d = nomp_path(&a, target, opts, &mut ws_d, SolveCtl::default()).unwrap();
+            let s = nomp_path(&csc, target, opts, &mut ws_s, SolveCtl::default()).unwrap();
+            assert_paths_bit_identical(&fresh, &d, &format!("density {density} reused-dense"));
+            assert_paths_bit_identical(&d, &s, &format!("density {density} reused-sparse"));
         }
     }
 }

@@ -15,10 +15,27 @@
 
 use comparesets_linalg::{
     cholesky::{solve_normal_equations, Cholesky},
-    lstsq, nnls, nnls_capped, nnls_gram, nnls_gram_capped, nomp, nomp_path, nomp_reference,
+    lstsq, nnls, nnls_capped, nnls_gram, nnls_gram_capped, nomp_reference,
     qr::Qr,
-    solve_gram_system, CscMatrix, Matrix, NompOptions, SolveError,
+    solve_gram_system, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions, NompResult,
+    NompWorkspace, SolveError,
 };
+use comparesets_obs::SolveCtl;
+
+/// A fresh, unmetered budget path.
+fn nomp_path<M: DesignMatrix>(
+    a: &M,
+    b: &[f64],
+    opts: NompOptions,
+) -> Result<Vec<NompResult>, LinalgError> {
+    comparesets_linalg::nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+}
+
+/// The result at budget `opts.max_atoms`: the last entry of its path.
+fn nomp<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<NompResult, LinalgError> {
+    let mut path = nomp_path(a, b, opts)?;
+    Ok(path.pop().expect("a path has max_atoms > 0 entries"))
+}
 
 /// Plant `value` at (row, col) of an otherwise well-behaved matrix.
 fn contaminated(rows: usize, cols: usize, row: usize, col: usize, value: f64) -> Matrix {

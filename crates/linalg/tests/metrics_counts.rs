@@ -6,10 +6,21 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    nomp_path, nomp_path_metered, solve_gram_system_with, CscMatrix, Matrix, NompOptions,
+    nomp_path, solve_gram_system_with, CscMatrix, DesignMatrix, Matrix, NompOptions, NompResult,
     NompWorkspace,
 };
-use comparesets_obs::SolverMetrics;
+use comparesets_obs::{SolveCtl, SolverMetrics};
+
+/// A budget-2 pursuit counted into `metrics`.
+fn metered_path<M: DesignMatrix>(
+    a: &M,
+    b: &[f64],
+    ws: &mut NompWorkspace,
+    metrics: &SolverMetrics,
+) -> Vec<NompResult> {
+    let ctl = SolveCtl::metered(Some(metrics));
+    nomp_path(a, b, NompOptions::with_max_atoms(2), ws, ctl).unwrap()
+}
 
 /// Orthogonal 2×2 design with both target components positive: the
 /// pursuit must accept both atoms, one per iteration.
@@ -23,14 +34,7 @@ fn pursuit_counters_match_known_trajectory() {
     let (a, b) = orthogonal_system();
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    let path = nomp_path_metered(
-        &a,
-        &b,
-        NompOptions::with_max_atoms(2),
-        &mut ws,
-        Some(&metrics),
-    )
-    .unwrap();
+    let path = metered_path(&a, &b, &mut ws, &metrics);
     assert_eq!(path.len(), 2);
     assert_eq!(path[1].support.len(), 2);
 
@@ -60,15 +64,15 @@ fn metered_pursuit_returns_the_unmetered_result() {
     let (a, b) = orthogonal_system();
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    let metered = nomp_path_metered(
+    let metered = metered_path(&a, &b, &mut ws, &metrics);
+    let plain = nomp_path(
         &a,
         &b,
         NompOptions::with_max_atoms(2),
-        &mut ws,
-        Some(&metrics),
+        &mut NompWorkspace::new(),
+        SolveCtl::default(),
     )
     .unwrap();
-    let plain = nomp_path(&a, &b, NompOptions::with_max_atoms(2)).unwrap();
     assert_eq!(metered.len(), plain.len());
     for (m, p) in metered.iter().zip(plain.iter()) {
         assert_eq!(m.support, p.support);
@@ -83,14 +87,7 @@ fn counters_accumulate_across_pursuits() {
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
     for _ in 0..3 {
-        nomp_path_metered(
-            &a,
-            &b,
-            NompOptions::with_max_atoms(2),
-            &mut ws,
-            Some(&metrics),
-        )
-        .unwrap();
+        metered_path(&a, &b, &mut ws, &metrics);
     }
     let snap = metrics.snapshot();
     assert_eq!(snap.nomp_pursuits, 3);
@@ -117,14 +114,7 @@ fn dense_scan_counters_match_known_trajectory() {
     let (a, b) = identity8();
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    nomp_path_metered(
-        &a,
-        &b,
-        NompOptions::with_max_atoms(2),
-        &mut ws,
-        Some(&metrics),
-    )
-    .unwrap();
+    metered_path(&a, &b, &mut ws, &metrics);
     let snap = metrics.snapshot();
     // Two accepted atoms = two full Aᵀr scans, both on the dense backend.
     assert_eq!(snap.dense_corr_scans, 2);
@@ -144,14 +134,7 @@ fn sparse_scan_counters_match_known_trajectory() {
     let csc = CscMatrix::from_dense(&a, 0.0);
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    nomp_path_metered(
-        &csc,
-        &b,
-        NompOptions::with_max_atoms(2),
-        &mut ws,
-        Some(&metrics),
-    )
-    .unwrap();
+    metered_path(&csc, &b, &mut ws, &metrics);
     let snap = metrics.snapshot();
     // Same trajectory, classified sparse: no dense scans, no lane blocks
     // (the CSC scan walks stored entries), and one sparse Gram extension

@@ -3,10 +3,26 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    lstsq, nnls, nnls_capped, nnls_gram, nomp, nomp_path, nomp_reference, CscMatrix, DesignMatrix,
-    LinalgError, Matrix, NompOptions,
+    lstsq, nnls, nnls_capped, nnls_gram, nomp_reference, CscMatrix, DesignMatrix, LinalgError,
+    Matrix, NompOptions, NompResult, NompWorkspace,
 };
+use comparesets_obs::SolveCtl;
 use proptest::prelude::*;
+
+/// A fresh, unmetered budget path.
+fn nomp_path<M: DesignMatrix>(
+    a: &M,
+    b: &[f64],
+    opts: NompOptions,
+) -> Result<Vec<NompResult>, LinalgError> {
+    comparesets_linalg::nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+}
+
+/// The result at budget `opts.max_atoms`: the last entry of its path.
+fn nomp<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<NompResult, LinalgError> {
+    let mut path = nomp_path(a, b, opts)?;
+    Ok(path.pop().expect("a path has max_atoms > 0 entries"))
+}
 
 fn small_f64() -> impl Strategy<Value = f64> {
     (-100i32..=100).prop_map(|v| v as f64 / 10.0)

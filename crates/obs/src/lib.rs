@@ -46,7 +46,11 @@ pub use cancel::{CancelToken, SolveCtl};
 /// v7 added the chaos/drain counters `faults_injected`,
 /// `drain_initiated`, `connections_timed_out`, and `health_checks`.
 /// v8 added the sparse-kernel counters `sparse_corr_scans`,
-/// `dense_corr_scans`, `sparse_gram_builds`, and `simd_blocks`.
+/// `dense_corr_scans`, `sparse_gram_builds`, and `simd_blocks`. Since
+/// v8, `warm_start_truncations`, `corr_incremental_updates`, and
+/// `corr_exact_recomputes` are retired: their mechanisms were replaced by
+/// the per-item answer memo, so they always read 0, and they stay in the
+/// layout so stored reports keep parsing.
 pub const METRICS_SCHEMA: &str = "comparesets-metrics/v8";
 
 /// Shared counter block for one logical run (a CLI command, an eval
@@ -54,7 +58,8 @@ pub const METRICS_SCHEMA: &str = "comparesets-metrics/v8";
 /// relaxed atomic adds.
 #[derive(Debug, Default)]
 pub struct SolverMetrics {
-    /// NOMP pursuits started (one per `nomp_path`/`nomp` call).
+    /// NOMP pursuits started (one per `nomp_path` call, plus one per
+    /// regression answered from a per-item answer memo).
     pub nomp_pursuits: AtomicU64,
     /// Greedy atom-selection iterations across all pursuits.
     pub nomp_iterations: AtomicU64,
@@ -91,19 +96,22 @@ pub struct SolverMetrics {
     pub deadline_expirations: AtomicU64,
     /// Transient ingestion I/O errors absorbed by the retrying reader.
     pub io_retries: AtomicU64,
-    /// Warm-start iterations served from a validated previous trajectory
-    /// (full-target reuse, or a replayed atom whose refit inputs matched
-    /// the cached refit bit-for-bit — no NNLS refit executed).
+    /// Pursuit iterations answered from a per-item answer memo instead of
+    /// run: a regression whose inputs repeat bit for bit counts the
+    /// iterations of the pursuit it replaces here (and in
+    /// `nomp_iterations`), with no NNLS refit.
     pub warm_start_hits: AtomicU64,
-    /// Warm-start replays abandoned at the first cached atom that was no
-    /// longer the argmax (or whose refit inputs changed); at most one per
-    /// pursuit — the pursuit continues cold from the truncation point.
+    /// Retired (always 0): counted the truncations of the validated
+    /// trajectory replay the answer memo replaced. Kept so stored v8
+    /// reports and their readers keep parsing.
     pub warm_start_truncations: AtomicU64,
-    /// Correlation-vector columns updated by the Gram downdate
-    /// `c ← c − Δη·G[:,j]` instead of a full `Aᵀr` scan.
+    /// Retired (always 0): counted Gram-downdate updates of the
+    /// incremental correlation vector the answer memo replaced. Kept so
+    /// stored v8 reports and their readers keep parsing.
     pub corr_incremental_updates: AtomicU64,
-    /// Exact `Aᵀr` recomputes bounding incremental-correlation drift
-    /// (periodic, plus a residual-floor safety trigger).
+    /// Retired (always 0): counted the exact `Aᵀr` recomputes that
+    /// bounded the incremental correlations' drift. Kept so stored v8
+    /// reports and their readers keep parsing.
     pub corr_exact_recomputes: AtomicU64,
     /// Solve requests admitted by the serving daemon (every request that
     /// reached the session cache, whatever its outcome).

@@ -8,13 +8,15 @@
 //!    selections without touching the solver. The solver is
 //!    deterministic, so this is byte-identical to re-solving.
 //! 2. **Warm states** — per query *shape* (same key minus λ/μ/sweeps),
-//!    a vector of validated [`RegressionWarm`] states, one per item,
-//!    carrying cached Gram columns and pursuit trajectories. A hit is
-//!    re-injected into the alternating solver, whose validation ladder
-//!    (ARCHITECTURE.md §9) guarantees the answer equals a cold solve
-//!    bit-for-bit — stale state can only cost time, never correctness.
-//! 3. **Instance contexts** — the assembled [`InstanceContext`] (design
-//!    matrices, dedup maps, targets) per (shard, items, scheme), shared
+//!    a vector of [`RegressionWarm`] answer memos, one per item, each
+//!    holding that item's last completed regression. A hit is re-injected
+//!    into the alternating solver, which serves a memo only to a
+//!    regression whose target, block weights (λ, μ), budget and caps
+//!    repeat bit for bit (ARCHITECTURE.md §9), so the answer equals a
+//!    cold solve bit-for-bit — a stale memo can only cost time, never
+//!    correctness.
+//! 3. **Instance contexts** — the assembled [`InstanceContext`] (review
+//!    features, targets τᵢ and Γ) per (shard, items, scheme), shared
 //!    via `Arc` so concurrent requests on the same item set skip
 //!    context assembly.
 //!
@@ -126,8 +128,9 @@ pub struct CacheKeys {
     pub full: String,
     /// Warm-state key: shard, scheme, items, m — λ/μ/sweeps excluded, so
     /// near-repeat queries (a λ tweak, a deeper sweep) still warm-hit.
-    /// Changed targets are caught by the engine's validation, which
-    /// replays or falls back cold; identity is never at risk.
+    /// The memos it finds key each regression on its target *and* its
+    /// block weights, so a changed λ or μ solves cold even where it
+    /// leaves a target unchanged; identity is never at risk.
     pub warm: String,
     /// Context key: shard, scheme, items — everything the design
     /// matrices depend on, nothing they don't.
@@ -296,17 +299,15 @@ impl SessionCache {
         }
     }
 
-    /// Resident bytes of every design matrix parked in the warm layer
-    /// (see [`RegressionWarm::matrix_bytes`]): the dominant solver-state
-    /// memory the daemon holds between requests. CSC instances shrink
-    /// with corpus density, so this figure is what the `health` op
-    /// reports to show resident memory dropping on sparse corpora.
+    /// Heap bytes of every answer memo held in the warm layer (see
+    /// [`RegressionWarm::memo_bytes`]): the solver state the daemon keeps
+    /// between requests, reported by the `health` op.
     pub fn resident_bytes(&self) -> u64 {
         self.lock()
             .warm
             .values()
             .flat_map(|states| states.iter())
-            .map(RegressionWarm::matrix_bytes)
+            .map(RegressionWarm::memo_bytes)
             .sum()
     }
 }
@@ -415,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_tracks_parked_matrices() {
+    fn resident_bytes_tracks_memo_bytes() {
         use comparesets_core::{
             solve_comparesets_plus_sweeps_warm_with, InstanceContext, Item, OpinionScheme,
             RegressionWarm, SelectParams, SolveOptions,
@@ -426,7 +427,7 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0, "empty cache holds nothing");
 
         // Two items: with one item the coupling vanishes and the
-        // alternation (the path that parks matrices) never runs.
+        // alternation (the path that fills memos) never runs.
         let items: Vec<Item> = (0..2)
             .map(|p| {
                 Item::from_mentions(
@@ -451,12 +452,12 @@ mod tests {
             &SolveOptions::default(),
             &mut warm,
         );
-        let parked: u64 = warm.iter().map(RegressionWarm::matrix_bytes).sum();
-        assert!(parked > 0, "warm solve must park its design matrix");
+        let held: u64 = warm.iter().map(RegressionWarm::memo_bytes).sum();
+        assert!(held > 0, "warm solve must memoize its regressions");
 
         let k = keys(&[0, 1], 3, 1.0, 1);
         cache.put_warm(&k, warm);
-        assert_eq!(cache.resident_bytes(), parked);
+        assert_eq!(cache.resident_bytes(), held);
         cache.take_warm(&k);
         assert_eq!(cache.resident_bytes(), 0, "checkout removes the bytes");
     }

@@ -6,11 +6,11 @@
 //! as named *shards* and answers item-set/budget queries over a
 //! hand-rolled length-prefixed JSON protocol ([`protocol`]). The heart
 //! is a shared bounded session cache ([`cache`]) holding memoized
-//! answers, validated [`comparesets_core::RegressionWarm`] states, and
-//! shared instance contexts, so repeat and near-repeat queries hit the
-//! warm path instead of a cold solve — with the engine's validation
-//! ladder (ARCHITECTURE.md §9) pinning every served answer
-//! byte-identical to a cold solve.
+//! answers, per-item [`comparesets_core::RegressionWarm`] answer memos,
+//! and shared instance contexts, so repeat and near-repeat queries hit
+//! the warm path instead of a cold solve — with the memos' exact input
+//! keys (ARCHITECTURE.md §9) pinning every served answer byte-identical
+//! to a cold solve.
 //!
 //! Overload is handled by admission control ([`server`]): requests past
 //! the in-flight cap get their deadlines clamped, and the solver's

@@ -559,9 +559,8 @@ pub struct Response {
     /// summed over shards — the replay a crash right now would cost.
     #[serde(default)]
     pub wal_lag: Option<u64>,
-    /// `health` responses: resident bytes of the design matrices parked
-    /// in the session cache's warm layer (CSC instances on sparse
-    /// corpora, so the figure tracks corpus density).
+    /// `health` responses: heap bytes of the per-item answer memos held
+    /// in the session cache's warm layer.
     #[serde(default)]
     pub resident_bytes: Option<u64>,
 }

@@ -220,8 +220,8 @@ fn drain_answers_in_flight_refuses_new_work_and_snapshots() {
     let health = client.health().unwrap();
     assert_eq!(health.health.as_deref(), Some("ready"));
     assert_eq!(health.wal_lag, Some(1));
-    // Health always reports the cache's resident matrix bytes (zero
-    // here: nothing solved yet, so no parked design matrices).
+    // Health always reports the cache's resident memo bytes (zero
+    // here: nothing solved yet, so no memos).
     assert_eq!(health.resident_bytes, Some(0));
 
     // A solve that would run far past the drain window: thousands of

@@ -141,6 +141,23 @@ fn malformed_payloads_are_classified_not_panics() {
 }
 
 #[test]
+fn frames_with_invalid_unicode_escapes_are_malformed() {
+    // A high surrogate followed by a non-low `\u` escape, and a signed
+    // `\u`: both must be refused as malformed, never decoded or panicked on.
+    for payload in [
+        &b"{\"op\":\"ping\",\"shard\":\"\\uD800\\u0041\"}"[..],
+        b"{\"op\":\"ping\",\"shard\":\"\\u+041\"}",
+    ] {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).unwrap();
+        match read_message::<Request>(&mut Cursor::new(&wire)) {
+            Err(ProtocolError::Malformed(_)) => {}
+            other => panic!("{payload:?}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn unknown_fields_are_ignored_for_forward_compat() {
     let req: Request = decode(b"{\"op\":\"ping\",\"from_the_future\":true}").unwrap();
     assert_eq!(req, Request::bare("ping"));

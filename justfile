@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc perfbench-test smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
+ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
 
 fmt:
     cargo fmt
@@ -31,6 +31,18 @@ doctest:
 # step).
 perfbench-test:
     cargo test --release --manifest-path perfbench/Cargo.toml
+
+# The repository benchmark end to end: one traced one-second run per
+# workload. A run exits 1 when a served answer differs from a cold solve
+# or when the traced replay does not reproduce the daemon's counters
+# (mirrors the "Perfbench smoke" CI step).
+perfbench-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for workload in popular long_tail live_ingest; do
+        cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace 1
+    done
 
 # Rustdoc must build warnings-clean (broken intra-doc links, missing
 # docs on #![warn(missing_docs)] crates).
