@@ -3,9 +3,9 @@
 //! At the paper's z = 500, a CompaReSetS+ design matrix has thousands of
 //! rows but only a handful of non-zeros per review column; this bench
 //! quantifies the CSC speedup that keeps Integer-Regression fast there,
-//! and sweeps a density grid to locate the dense/CSC crossover that
-//! [`comparesets_core::DENSITY_CROSSOVER`] encodes for the `Auto`
-//! backend rule.
+//! and sweeps a density grid to locate the dense/CSC crossover (~65%
+//! stored density) — far above the 1–2% of a paper-scale task, which is
+//! why every regression in `comparesets-core` builds CSC.
 //!
 //! Besides the criterion console output, this bench writes
 //! `BENCH_sparse.json` at the workspace root (the

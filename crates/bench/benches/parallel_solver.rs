@@ -1,6 +1,8 @@
-//! The PR's headline workloads: the shared-path Gram-cached regression
-//! engine against the naive per-budget reference, and the parallel solver
-//! entry points against their sequential twins.
+//! The regression engine and solver workloads: the shared-path
+//! Gram-cached regression engine against the naive per-budget reference,
+//! and the CRS and CompaReSetS+ solvers end to end (the
+//! `solver_parallel/*/sequential` rows; the family keeps its name so the
+//! series stays comparable, and every solver runs sequentially).
 //!
 //! Besides the criterion console output, this bench writes
 //! `BENCH_parallel_solver.json` at the workspace root with the measured
@@ -97,19 +99,15 @@ fn bench_solvers(c: &mut Criterion) {
     let dataset = comparesets_bench::corpus();
     let ctx = comparesets_bench::instance(&dataset, 8);
     let params = SelectParams::default();
+    let opts = SolveOptions::sequential();
     let mut g = c.benchmark_group("solver_parallel");
     g.sample_size(10);
-    for (label, opts) in [
-        ("sequential", SolveOptions::sequential()),
-        ("parallel", SolveOptions::parallel()),
-    ] {
-        g.bench_function(format!("crs/{label}"), |bch| {
-            bch.iter(|| black_box(solve_crs_with(&ctx, params.m, &opts)))
-        });
-        g.bench_function(format!("comparesets_plus/{label}"), |bch| {
-            bch.iter(|| black_box(solve_comparesets_plus_with(&ctx, &params, &opts)))
-        });
-    }
+    g.bench_function("crs/sequential", |bch| {
+        bch.iter(|| black_box(solve_crs_with(&ctx, params.m, &opts)))
+    });
+    g.bench_function("comparesets_plus/sequential", |bch| {
+        bch.iter(|| black_box(solve_comparesets_plus_with(&ctx, &params, &opts)))
+    });
     g.finish();
 }
 
@@ -177,25 +175,21 @@ fn emit_json() {
     let dataset = comparesets_bench::corpus();
     let ctx = comparesets_bench::instance(&dataset, 8);
     let params = SelectParams::default();
-    for (label, opts) in [
-        ("sequential", SolveOptions::sequential()),
-        ("parallel", SolveOptions::parallel()),
-    ] {
-        measurements.push(Measurement {
-            name: format!("solver_parallel/crs/{label}"),
-            seconds_min: time_min(SAMPLES, || {
-                black_box(solve_crs_with(&ctx, params.m, &opts));
-            }),
-            samples: SAMPLES,
-        });
-        measurements.push(Measurement {
-            name: format!("solver_parallel/comparesets_plus/{label}"),
-            seconds_min: time_min(SAMPLES, || {
-                black_box(solve_comparesets_plus_with(&ctx, &params, &opts));
-            }),
-            samples: SAMPLES,
-        });
-    }
+    let opts = SolveOptions::sequential();
+    measurements.push(Measurement {
+        name: "solver_parallel/crs/sequential".to_string(),
+        seconds_min: time_min(SAMPLES, || {
+            black_box(solve_crs_with(&ctx, params.m, &opts));
+        }),
+        samples: SAMPLES,
+    });
+    measurements.push(Measurement {
+        name: "solver_parallel/comparesets_plus/sequential".to_string(),
+        seconds_min: time_min(SAMPLES, || {
+            black_box(solve_comparesets_plus_with(&ctx, &params, &opts));
+        }),
+        samples: SAMPLES,
+    });
 
     for sweeps in 1..=4usize {
         for (label, warm) in [("cold", false), ("warm", true)] {

@@ -92,8 +92,9 @@ fn committed_sparse_baseline_matches_schema_and_acceptance() {
         csc * 2.0 <= dense,
         "csc {csc}s is not >=2x faster than dense {dense}s on 16000x80"
     );
-    // The crossover sweep must cover both backends at every density so
-    // the DENSITY_CROSSOVER = 0.65 rule stays reproducible, and the
+    // The crossover sweep must cover both representations at every
+    // density so the ~65% break-even (the reason core always builds CSC
+    // for its 1-2% dense tasks) stays reproducible, and the
     // committed grid must show a clear sparse win at paper-like
     // densities (the advantage decays to parity near the crossover).
     for pct in [5u32, 10, 15, 20, 25, 30, 40, 50, 65, 80, 100] {

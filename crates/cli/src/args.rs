@@ -3,11 +3,21 @@
 
 use std::collections::HashMap;
 
+/// Flags every command takes.
+const GLOBAL_FLAGS: [&str; 2] = ["trace", "metrics-json"];
+
 /// Parsed command-line arguments.
 #[derive(Debug, Default)]
 pub struct Args {
     flags: HashMap<String, String>,
     positional: Vec<String>,
+    /// The command's own flags, once [`Args::accept`] has checked them.
+    accepted: Option<&'static str>,
+}
+
+/// Whether a command whose own flags are `flags` takes `--key`.
+fn takes(flags: &str, key: &str) -> bool {
+    GLOBAL_FLAGS.contains(&key) || flags.split_whitespace().any(|flag| flag == key)
 }
 
 /// Parse `--key value` pairs; anything else is positional. A flag without
@@ -37,22 +47,48 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
 }
 
 impl Args {
+    /// Check every given flag against `flags`, the space-separated names
+    /// of the ones `command` takes (besides the [`GLOBAL_FLAGS`]): the
+    /// first unknown flag, in name order, is an error that names it. Once
+    /// accepted, reading a flag outside the list is a bug the debug build
+    /// asserts on, so the list cannot fall behind the command.
+    pub fn accept(&mut self, command: &str, flags: &'static str) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .keys()
+            .map(String::as_str)
+            .filter(|key| !takes(flags, key))
+            .min();
+        if let Some(key) = unknown {
+            return Err(format!("{command} does not take --{key}"));
+        }
+        self.accepted = Some(flags);
+        Ok(())
+    }
+
+    fn lookup(&self, key: &str) -> Option<&String> {
+        debug_assert!(
+            self.accepted.is_none_or(|flags| takes(flags, key)),
+            "flag --{key} is read but not in the command's flag list"
+        );
+        self.flags.get(key)
+    }
+
     /// A required string flag.
     pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.flags
-            .get(key)
+        self.lookup(key)
             .map(String::as_str)
             .ok_or_else(|| format!("missing required flag --{key}"))
     }
 
     /// An optional string flag.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
+        self.lookup(key).map(String::as_str)
     }
 
     /// An optional flag parsed to a type, with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.flags.get(key) {
+        match self.lookup(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -102,6 +138,16 @@ mod tests {
     fn unparsable_typed_flag_is_an_error() {
         let a = parse(&argv(&["--m", "three"])).unwrap();
         assert!(a.get_or::<usize>("m", 1).is_err());
+    }
+
+    #[test]
+    fn accept_names_the_first_unknown_flag() {
+        let mut a = parse(&argv(&["--zeta", "1", "--lamda", "5", "--m", "3"])).unwrap();
+        let e = a.accept("select", "m seed").unwrap_err();
+        assert_eq!(e, "select does not take --lamda");
+        let mut a = parse(&argv(&["--m", "3", "--trace", "info"])).unwrap();
+        assert!(a.accept("select", "m seed").is_ok());
+        assert_eq!(a.get_or::<usize>("m", 1).unwrap(), 3);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use crate::args::{parse, Args};
 use crate::error::CliError;
 use comparesets_core::{
-    solve_checked, solve_with, Algorithm, CancelToken, CoreError, InstanceContext, MatrixBackend,
-    MetricsReport, OpinionScheme, SelectParams, Selection, SolveOptions, SolverMetrics,
+    solve_checked, solve_with, Algorithm, CancelToken, CoreError, InstanceContext, MetricsReport,
+    OpinionScheme, SelectParams, Selection, SolveOptions, SolverMetrics,
 };
 use comparesets_data::{
     io as corpus_io, AmazonError, AmazonLoader, CategoryPreset, ComparisonInstance, Dataset,
@@ -25,23 +25,25 @@ use std::sync::Arc;
 pub const USAGE: &str = "\
 usage: comparesets <command> [flags]
 
+A flag the command does not take is a usage error (exit 2).
+
 commands:
   generate        --category <cellphone|toy|clothing> [--products N] [--seed S] --out FILE
   stats           <corpus.json>
   convert-amazon  --reviews FILE --meta FILE --out FILE [--name NAME] [--max-aspects N] [--min-aspect-count N]
+                  [--min-reviews N]    drop products with fewer usable reviews (default 1)
                   [--error-budget N]   tolerate up to N malformed JSON-lines (default 0)
   select          --corpus FILE --target ID [--m N] [--lambda X] [--mu X]
                   [--algorithm random|crs|greedy|comparesets|comparesets+]
                   [--max-comparatives N] [--scheme binary|3-polarity|unary-scale] [--seed S]
-                  [--parallel true] [--threads N] [--warm-start false]
-                  [--backend auto|dense|sparse]  design-matrix storage (selection-invariant)
+                  [--warm-start false] solve every sweep from scratch (selection-invariant)
                   [--strict true]      fail (exit 5) instead of degrading on numerical faults
   narrow          --corpus FILE --target ID [--k N] [--method exact|greedy|topk|random|peel]
-                  [--m N] [--lambda X] [--mu X] [--time-limit-ms N] [--seed S]
-                  [--parallel true] [--threads N] [--warm-start false]
-                  [--backend auto|dense|sparse]
+                  [--m N] [--lambda X] [--mu X] [--max-comparatives N] [--time-limit-ms N]
+                  [--seed S] [--warm-start false]
+                  [--threads N]        branch-and-bound workers for --method exact (default 1)
   eval            [--out FILE] [--scale N] [--config tiny|default] [--experiments a,b,...]
-                  [--checkpoint-dir DIR] [--resume true]
+                  [--checkpoint-dir DIR] [--resume true] [--warm-start false]
                   run the reproduction suite; the deterministic report (no
                   wall-clock lines) is written atomically to --out
   serve           --corpus FILE[,FILE...] [--addr HOST:PORT] [--workers N]
@@ -100,37 +102,73 @@ impl From<String> for CliError {
     }
 }
 
-/// Dispatch a raw argv to the matching command.
+/// A command's entry point: the parsed flags and the optional
+/// `--metrics-json` collector in, its output or classified failure out.
+type Command = fn(&Args, Option<Arc<SolverMetrics>>) -> Result<String, CliError>;
+
+/// Every command, with the flags it takes besides `--trace` and
+/// `--metrics-json` (space-separated, without the leading `--`).
+const COMMANDS: [(&str, Command, &str); 9] = [
+    ("generate", cmd_generate, "category products seed out"),
+    ("stats", cmd_stats, ""),
+    (
+        "convert-amazon",
+        cmd_convert_amazon,
+        "reviews meta out name max-aspects min-aspect-count min-reviews error-budget",
+    ),
+    (
+        "select",
+        cmd_select,
+        "corpus target m lambda mu algorithm max-comparatives scheme seed warm-start timeout strict",
+    ),
+    (
+        "narrow",
+        cmd_narrow,
+        "corpus target k method m lambda mu max-comparatives time-limit-ms seed warm-start timeout \
+         threads",
+    ),
+    (
+        "eval",
+        cmd_eval,
+        "out scale config experiments checkpoint-dir resume warm-start timeout",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "corpus addr workers cache-capacity request-timeout overload-timeout-ms max-requests \
+         data-dir snapshot-every drain-deadline-ms",
+    ),
+    ("recover", cmd_recover, "data-dir shard out compact"),
+    ("chaos", cmd_chaos, "schedules seed dir"),
+];
+
+/// Dispatch a raw argv to the matching command. Every flag is checked
+/// against the command's list before any work starts.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     if argv.iter().any(|a| a == "--help" || a == "-h") || argv.first().is_some_and(|c| c == "help")
     {
         return Ok(USAGE.to_string());
     }
-    let args = parse(argv)?;
+    let mut args = parse(argv)?;
     let command = args
         .positional()
         .first()
+        .cloned()
         .ok_or_else(|| CliError::usage("no command given"))?;
+    let (_, run, flags) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == command)
+        .ok_or_else(|| CliError::usage(format!("unknown command {command:?}")))?;
+    args.accept(&command, flags)?;
     init_tracing(&args)?;
     let metrics = args
         .get("metrics-json")
         .map(|_| Arc::new(SolverMetrics::new()));
     let started = std::time::Instant::now();
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&args),
-        "stats" => cmd_stats(&args),
-        "convert-amazon" => cmd_convert_amazon(&args),
-        "select" => cmd_select(&args, metrics.clone()),
-        "narrow" => cmd_narrow(&args, metrics.clone()),
-        "eval" => cmd_eval(&args, metrics.clone()),
-        "serve" => cmd_serve(&args, metrics.clone()),
-        "recover" => cmd_recover(&args, metrics.clone()),
-        "chaos" => cmd_chaos(&args, metrics.clone()),
-        other => Err(CliError::usage(format!("unknown command {other:?}"))),
-    };
+    let result = run(&args, metrics.clone());
     if result.is_ok() {
         if let (Some(path), Some(collector)) = (args.get("metrics-json"), &metrics) {
-            write_metrics_report(path, command, started.elapsed(), collector)?;
+            write_metrics_report(path, &command, started.elapsed(), collector)?;
         }
     }
     result
@@ -252,7 +290,7 @@ fn instance_for(
     ))
 }
 
-fn cmd_generate(args: &Args) -> Result<String, CliError> {
+fn cmd_generate(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
     let category = parse_category(args.require("category")?)?;
     let products: usize = args.get_or("products", 240)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -269,7 +307,7 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_stats(args: &Args) -> Result<String, CliError> {
+fn cmd_stats(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
     let path = args
         .positional()
         .get(1)
@@ -278,7 +316,10 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
     Ok(DatasetStats::compute(&dataset).to_string())
 }
 
-fn cmd_convert_amazon(args: &Args) -> Result<String, CliError> {
+fn cmd_convert_amazon(
+    args: &Args,
+    _metrics: Option<Arc<SolverMetrics>>,
+) -> Result<String, CliError> {
     let reviews_path = args.require("reviews")?;
     let meta_path = args.require("meta")?;
     let out = args.require("out")?;
@@ -347,37 +388,16 @@ fn timeout_token(args: &Args) -> Result<Option<Arc<CancelToken>>, String> {
     ))))
 }
 
-/// Parse `--backend auto|dense|sparse` into a [`MatrixBackend`]. The
-/// backend changes wall-clock and resident memory only — selections are
-/// byte-identical either way (ARCHITECTURE.md §13).
-fn matrix_backend(args: &Args) -> Result<MatrixBackend, String> {
-    match args.get("backend").unwrap_or("auto") {
-        "auto" => Ok(MatrixBackend::Auto),
-        "dense" => Ok(MatrixBackend::Dense),
-        "sparse" => Ok(MatrixBackend::Sparse),
-        other => Err(format!(
-            "--backend: expected auto, dense, or sparse, got {other}"
-        )),
-    }
-}
-
-/// Parse `--parallel true` / `--threads N` / `--warm-start BOOL` /
-/// `--backend NAME` / `--timeout SECS` into [`SolveOptions`]. A thread
-/// count implies parallelism; the selections are identical either way,
-/// and the optional `--metrics-json` collector only observes, never
-/// steers. Warm starts default on and are selection-invariant too —
+/// Parse `--warm-start BOOL` / `--timeout SECS` into [`SolveOptions`].
+/// The optional `--metrics-json` collector only observes, never steers.
+/// Warm starts default on and are selection-invariant —
 /// `--warm-start false` forces every alternating sweep to solve from
 /// scratch (the cold baseline the `alternation/*` benches compare
 /// against). A timeout arms a cooperative deadline: iterative solvers
 /// stop at their next cancellation check.
 fn solve_options(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<SolveOptions, String> {
-    let parallel: bool = args.get_or("parallel", false)?;
-    let threads: usize = args.get_or("threads", 0)?;
     Ok(SolveOptions {
-        parallel: parallel || threads > 0,
-        threads: (threads > 0).then_some(threads),
         warm_start: args.get_or("warm-start", true)?,
-        backend: matrix_backend(args)?,
         metrics,
         cancel: timeout_token(args)?,
     })
@@ -1017,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flags_do_not_change_output() {
+    fn option_flags_keep_output_and_unknown_flags_are_usage_errors() {
         let path = temp_corpus();
         run(&[
             "generate",
@@ -1039,21 +1059,41 @@ mod tests {
             .expect("corpus has instances")
             .to_string();
         let base = ["select", "--corpus", &path, "--target", target.as_str()];
-        let sequential = run(&base).unwrap();
-        let parallel = run(&[&base[..], &["--parallel", "true"]].concat()).unwrap();
-        let pinned = run(&[&base[..], &["--threads", "2"]].concat()).unwrap();
+        let warm = run(&base).unwrap();
         let cold = run(&[&base[..], &["--warm-start", "false"]].concat()).unwrap();
-        let dense = run(&[&base[..], &["--backend", "dense"]].concat()).unwrap();
-        let sparse = run(&[&base[..], &["--backend", "sparse"]].concat()).unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential, pinned);
-        assert_eq!(sequential, cold);
-        assert_eq!(sequential, dense);
-        assert_eq!(sequential, sparse);
-        assert!(run(&[&base[..], &["--backend", "csr"]].concat())
-            .unwrap_err()
-            .to_string()
-            .contains("--backend"));
+        assert_eq!(warm, cold);
+        // A misspelled flag, and the retired execution flags, are named
+        // and rejected (exit 2) instead of silently running the defaults.
+        for (name, value) in [
+            ("lamda", "5"),
+            ("backend", "dense"),
+            ("parallel", "true"),
+            ("threads", "2"),
+        ] {
+            let flag = format!("--{name}");
+            let e = run(&[&base[..], &[flag.as_str(), value]].concat()).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{flag}: {e}");
+            assert_eq!(e.exit_code(), 2, "{flag}");
+            assert!(e.to_string().contains(&flag), "{flag}: {e}");
+        }
+        // The check runs before any work: an unreadable corpus does not
+        // turn the usage error into an io error.
+        let e = run(&[
+            "select",
+            "--corpus",
+            "/nonexistent/zz.json",
+            "--target",
+            "0",
+            "--lamda",
+            "5",
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
+        // `narrow --threads` still sizes the exact branch-and-bound.
+        let narrow = ["narrow", "--corpus", &path, "--target", target.as_str()];
+        assert!(run(&[&narrow[..], &["--threads", "2"]].concat()).is_ok());
+        let e = run(&[&narrow[..], &["--lamda", "5"]].concat()).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
     }
 
     #[test]

@@ -13,27 +13,38 @@
 //! `regress_item`: memo lookup, task build, Integer-Regression, memo
 //! store.
 //!
-//! ## Parallel execution
+//! ## Execution
 //!
-//! The per-item regressions of CompaReSetS are independent, so the
-//! `_with` variants fan them out over rayon when
-//! [`SolveOptions::parallel`] is set. Results are collected **in item
-//! order**, never completion order, so parallel and sequential runs
-//! return identical selections. The alternating sweeps of CompaReSetS+
-//! are Gauss–Seidel — item `i` reads the other items' *current*
-//! selections — and therefore stay sequential by construction; the
-//! parallel knob accelerates their CompaReSetS seed (and each per-item
-//! step reuses one solver workspace across the whole sweep phase).
+//! Every solver runs its items in one sequential loop through one
+//! pursuit workspace. The alternating sweeps of CompaReSetS+ are
+//! Gauss–Seidel — item `i` reads the other items' *current* selections —
+//! so they are sequential by construction; the independent per-item
+//! regressions of CRS and CompaReSetS run in the same loop, and
+//! independent problem instances are what the evaluation harness fans
+//! out instead (§4.1.1).
 
 use comparesets_linalg::vector::sq_distance;
 use comparesets_linalg::NompWorkspace;
 
 use crate::error::{validate_params, CoreError};
-use crate::instance::{InstanceContext, Item, Selection};
+use crate::instance::{InstanceContext, Selection};
 use crate::integer_regression::{
     best_single_review, integer_regression, DedupColumns, RegressionTask, RegressionWarm,
 };
-use crate::{per_item, SelectParams, SolveOptions, SolverMetrics};
+use crate::objective::item_objective_and_phi;
+use crate::{SelectParams, SolveOptions, SolverMetrics};
+
+/// Run `solve` for every item of `ctx` in item order, with the item's
+/// column grouping, through one pursuit workspace.
+pub(crate) fn per_item<T>(
+    ctx: &InstanceContext,
+    mut solve: impl FnMut(usize, &DedupColumns, &mut NompWorkspace) -> T,
+) -> Vec<T> {
+    let mut ws = NompWorkspace::new();
+    (0..ctx.num_items())
+        .map(|i| solve(i, &DedupColumns::build(ctx.item(i)), &mut ws))
+        .collect()
+}
 
 /// Post-batch deadline classification shared by the checked solvers: when
 /// the options' token fired during the solve, the per-item results are
@@ -56,44 +67,46 @@ pub(crate) fn classify_deadline(
     })
 }
 
-/// Integer-Regression for item `i` against `Υ = [τᵢ; w₁t₁; …]`, the
-/// `aspect_targets` blocks `(tₖ, wₖ)` (Algorithm 1 lines 6–12): the
-/// per-item problem of CRS (no blocks), CompaReSetS (`[(Γ, λ)]`) and a
-/// CompaReSetS+ step (`[(Γ, λ), (φ(Sⱼ), μ), …]`), scored by `cost`.
+/// Integer-Regression for item `i`, whose reviews `dedup` groups,
+/// against `Υ = [τᵢ; w₁t₁; …]`, the `aspect_targets` blocks `(tₖ, wₖ)`
+/// (Algorithm 1 lines 6–12): the per-item problem of CRS (no blocks),
+/// CompaReSetS (`[(Γ, λ)]`) and a CompaReSetS+ step
+/// (`[(Γ, λ), (φ(Sⱼ), μ), …]`), scored by `cost`.
 ///
-/// With a `memo` — the item's [`RegressionWarm`] and its current column
-/// grouping — a regression whose inputs repeat the memo's is answered
-/// from it before any matrix is built, and every other completed
-/// regression is remembered. A regression cut by the options' token is
-/// never remembered: its answer is an anytime iterate, not the completed
+/// Υ is stacked once. With a `memo` (the item's [`RegressionWarm`]) a
+/// regression whose inputs repeat the memo's is answered from it before
+/// any matrix is built, and every other completed regression is
+/// remembered. A regression cut by the options' token is never
+/// remembered: its answer is an anytime iterate, not the completed
 /// answer a memo hit stands for.
 ///
 /// # Errors
 /// [`CoreError::DimensionMismatch`] on malformed target blocks;
 /// [`CoreError::Solver`] (tagged with `i`) when the relaxation fails.
-#[allow(clippy::too_many_arguments)] // the blocks, budget and objective of one regression
+#[allow(clippy::too_many_arguments)] // the item, blocks, budget and objective of one regression
 pub(crate) fn regress_item<F: Fn(&Selection) -> f64>(
     ctx: &InstanceContext,
     i: usize,
+    dedup: &DedupColumns,
     aspect_targets: &[(&[f64], f64)],
     m: usize,
     cost: &F,
     opts: &SolveOptions,
     ws: &mut NompWorkspace,
-    memo: Option<(&mut RegressionWarm, &DedupColumns)>,
+    memo: Option<&mut RegressionWarm>,
 ) -> Result<Selection, CoreError> {
-    let (space, item, tau) = (ctx.space(), ctx.item(i), ctx.tau(i));
-    if let Some((warm, dedup)) = &memo {
-        let target = RegressionTask::try_stack_target(space, tau, aspect_targets)?;
+    let (space, item) = (ctx.space(), ctx.item(i));
+    let target = RegressionTask::try_stack_target(space, ctx.tau(i), aspect_targets)?;
+    if let Some(warm) = &memo {
         if let Some(selection) = warm.recall(&target, aspect_targets, m, dedup, opts.metrics_ref())
         {
             return Ok(selection);
         }
     }
-    let task = RegressionTask::try_build_with(space, item, tau, aspect_targets, opts.backend)?;
+    let task = RegressionTask::with_target(space, item, dedup, target, aspect_targets)?;
     let selection = integer_regression(&task, m, cost, ws, opts.ctl())
         .map_err(|source| CoreError::Solver { item: i, source })?;
-    if let Some((warm, _)) = memo {
+    if let Some(warm) = memo {
         if !opts.cancel_fired() {
             warm.remember(task, aspect_targets, m, &selection, ws.iterations());
         }
@@ -101,39 +114,41 @@ pub(crate) fn regress_item<F: Fn(&Selection) -> f64>(
     Ok(selection)
 }
 
-/// The unchecked solvers' answer for `item`: the regression's selection,
-/// or the single review minimising `cost` when the regression failed —
-/// they degrade instead of failing.
+/// The unchecked solvers' answer for an item whose reviews `dedup`
+/// groups: the regression's selection, or the single review minimising
+/// `cost` when the regression failed — they degrade instead of failing.
 pub(crate) fn or_single_review<F: Fn(&Selection) -> f64>(
     solved: Result<Selection, CoreError>,
-    item: &Item,
+    dedup: &DedupColumns,
     m: usize,
     cost: &F,
 ) -> Selection {
-    solved.unwrap_or_else(|_| best_single_review(&DedupColumns::build(item), m, cost))
+    solved.unwrap_or_else(|_| best_single_review(dedup, m, cost))
 }
 
 /// One CompaReSetS+ step for item `i` (Algorithm 1 lines 6–12) against
 /// `other_phis`, the other items' φ(Sⱼ) under their current selections:
 /// the re-selection candidate, and the per-item synchronized objective it
 /// minimises and the accept test compares (line 10: Equation 3 plus
-/// `μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ))`).
+/// `μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ))`). The objective builds φ(Sᵢ) once per
+/// candidate and shares it between both terms.
+#[allow(clippy::too_many_arguments)] // one regression step plus its memo
 pub(crate) fn plus_step<'a>(
     ctx: &'a InstanceContext,
     i: usize,
+    dedup: &DedupColumns,
     other_phis: &'a [&'a [f64]],
     params: &SelectParams,
     opts: &SolveOptions,
     ws: &mut NompWorkspace,
-    memo: Option<(&mut RegressionWarm, &DedupColumns)>,
+    memo: Option<&mut RegressionWarm>,
 ) -> (
     Result<Selection, CoreError>,
     impl Fn(&Selection) -> f64 + 'a,
 ) {
     let (lambda, mu) = (params.lambda, params.mu);
     let cost = move |sel: &Selection| {
-        let base = crate::objective::item_objective(ctx, i, sel, lambda);
-        let phi = ctx.space().phi(ctx.item(i), &sel.indices);
+        let (base, phi) = item_objective_and_phi(ctx, i, sel, lambda);
         let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
         base + mu * mu * coupling
     };
@@ -141,7 +156,7 @@ pub(crate) fn plus_step<'a>(
     let mut blocks: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
     blocks.push((ctx.gamma(), lambda));
     blocks.extend(other_phis.iter().map(|&p| (p, mu)));
-    let solved = regress_item(ctx, i, &blocks, params.m, &cost, opts, ws, memo);
+    let solved = regress_item(ctx, i, dedup, &blocks, params.m, &cost, opts, ws, memo);
     (solved, cost)
 }
 
@@ -151,20 +166,17 @@ pub fn solve_comparesets(ctx: &InstanceContext, params: &SelectParams) -> Vec<Se
     solve_comparesets_with(ctx, params, &SolveOptions::default())
 }
 
-/// [`solve_comparesets`] with execution options: when
-/// [`SolveOptions::parallel`] is set the per-item regressions run on
-/// rayon's pool (collected in item order — results are identical to the
-/// sequential path).
+/// [`solve_comparesets`] with execution options (metrics, cancellation).
 pub fn solve_comparesets_with(
     ctx: &InstanceContext,
     params: &SelectParams,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    per_item(ctx.num_items(), opts, |i, ws| {
+    per_item(ctx, |i, dedup, ws| {
         let cost = |sel: &Selection| crate::objective::item_objective(ctx, i, sel, params.lambda);
         let blocks = [(ctx.gamma(), params.lambda)];
-        let solved = regress_item(ctx, i, &blocks, params.m, &cost, opts, ws, None);
-        or_single_review(solved, ctx.item(i), params.m, &cost)
+        let solved = regress_item(ctx, i, dedup, &blocks, params.m, &cost, opts, ws, None);
+        or_single_review(solved, dedup, params.m, &cost)
     })
 }
 
@@ -175,9 +187,9 @@ pub fn solve_comparesets_with(
 /// non-finite λ/μ) before any item is touched. The inner vector has one
 /// slot per item, in item order: a degenerate item (e.g. NaN-contaminated
 /// features) yields `Err(CoreError::Solver { item, .. })` in its slot
-/// while every other item still solves — the rayon fan-out is
-/// failure-isolated, one bad item never poisons the batch. On well-posed
-/// inputs every slot is `Ok` and bit-identical to the unchecked solver.
+/// while every other item still solves — one bad item never poisons the
+/// batch. On well-posed inputs every slot is `Ok` and bit-identical to
+/// the unchecked solver.
 ///
 /// # Errors
 /// [`CoreError::InvalidParams`] on bad parameters (outer); per-item
@@ -190,10 +202,10 @@ pub fn solve_comparesets_checked(
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
     validate_params(params)?;
-    let slots = per_item(ctx.num_items(), opts, |i, ws| {
+    let slots = per_item(ctx, |i, dedup, ws| {
         let cost = |sel: &Selection| crate::objective::item_objective(ctx, i, sel, params.lambda);
         let blocks = [(ctx.gamma(), params.lambda)];
-        regress_item(ctx, i, &blocks, params.m, &cost, opts, ws, None)
+        regress_item(ctx, i, dedup, &blocks, params.m, &cost, opts, ws, None)
     });
     classify_deadline(slots, opts)
 }
@@ -224,10 +236,8 @@ pub fn solve_comparesets_plus_sweeps(
     solve_comparesets_plus_sweeps_with(ctx, params, sweeps, &SolveOptions::default())
 }
 
-/// [`solve_comparesets_plus_sweeps`] with execution options. Parallelism
-/// applies to the CompaReSetS seed; the Gauss–Seidel sweeps themselves are
-/// inherently sequential (each item reads the others' current selections)
-/// and run identically regardless of the options.
+/// [`solve_comparesets_plus_sweeps`] with execution options (warm
+/// starts, metrics, cancellation).
 pub fn solve_comparesets_plus_sweeps_with(
     ctx: &InstanceContext,
     params: &SelectParams,
@@ -338,12 +348,9 @@ fn alternate(
     // One pursuit workspace serves every per-item step of every sweep.
     let mut ws = NompWorkspace::new();
     // The items are immutable for the whole solve, so each one's column
-    // grouping is computed once and shared by every memo lookup.
-    let dedups: Vec<DedupColumns> = if opts.warm_start {
-        (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
-    } else {
-        Vec::new()
-    };
+    // grouping is computed once and shared by every step's task build and
+    // memo lookup.
+    let dedups: Vec<DedupColumns> = (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect();
     // φ(Sⱼ) per healthy slot (None for failed items), refreshed only when
     // an accept changes the selection — φ is a pure function of the
     // selection, so the cache is bit-identical to recomputing per round.
@@ -375,11 +382,12 @@ fn alternate(
                 .filter(|&j| j != i)
                 .filter_map(|j| phis[j].as_deref())
                 .collect();
-            let memo = dedups.get(i).map(|dedup| (&mut warm[i], dedup));
-            let (solved, cost) = plus_step(ctx, i, &other_phis, params, opts, &mut ws, memo);
+            let memo = opts.warm_start.then_some(&mut warm[i]);
+            let (solved, cost) =
+                plus_step(ctx, i, &dedups[i], &other_phis, params, opts, &mut ws, memo);
             let candidate = match solved {
                 Err(_) if strict => continue,
-                solved => or_single_review(solved, ctx.item(i), params.m, &cost),
+                solved => or_single_review(solved, &dedups[i], params.m, &cost),
             };
             // A candidate equal to the current selection can never win the
             // strict `<` accept test (the objective is a pure function of
@@ -586,16 +594,32 @@ mod tests {
         let mut memo = RegressionWarm::new();
         // Fire after one poll: the pursuit stops with a truncated path.
         let cut = SolveOptions::default().with_cancel(Arc::new(CancelToken::cancel_after(1)));
-        let memo_in = Some((&mut memo, &dedup));
-        let (truncated, _) = plus_step(&ctx, 0, &other_phis, &p, &cut, &mut ws, memo_in);
+        let (truncated, _) = plus_step(
+            &ctx,
+            0,
+            &dedup,
+            &other_phis,
+            &p,
+            &cut,
+            &mut ws,
+            Some(&mut memo),
+        );
         assert!(truncated.is_ok());
         assert_eq!(memo.memo_bytes(), 0, "a cancelled step was memoized");
         // The next (uncancelled) step must compute the real answer, not
         // echo the truncated one, and memoize it.
         let opts = SolveOptions::default();
-        let memo_in = Some((&mut memo, &dedup));
-        let (full, _) = plus_step(&ctx, 0, &other_phis, &p, &opts, &mut ws, memo_in);
-        let (cold, _) = plus_step(&ctx, 0, &other_phis, &p, &opts, &mut ws, None);
+        let (full, _) = plus_step(
+            &ctx,
+            0,
+            &dedup,
+            &other_phis,
+            &p,
+            &opts,
+            &mut ws,
+            Some(&mut memo),
+        );
+        let (cold, _) = plus_step(&ctx, 0, &dedup, &other_phis, &p, &opts, &mut ws, None);
         assert_eq!(full.unwrap(), cold.unwrap());
         assert!(memo.memo_bytes() > 0);
     }

@@ -7,10 +7,10 @@
 //! with a single item and λ = 0. It shares the Integer-Regression
 //! machinery but regresses on the opinion block only.
 
-use crate::comparesets::{classify_deadline, or_single_review, regress_item};
+use crate::comparesets::{classify_deadline, or_single_review, per_item, regress_item};
 use crate::error::CoreError;
 use crate::instance::{InstanceContext, Selection};
-use crate::{per_item, SolveOptions};
+use crate::SolveOptions;
 use comparesets_linalg::vector::sq_distance;
 
 /// Run CRS on every item of the instance independently.
@@ -18,15 +18,13 @@ pub fn solve_crs(ctx: &InstanceContext, m: usize) -> Vec<Selection> {
     solve_crs_with(ctx, m, &SolveOptions::default())
 }
 
-/// [`solve_crs`] with execution options: the per-item regressions are
-/// independent and fan out over rayon when [`SolveOptions::parallel`] is
-/// set, collected in item order (identical results either way).
+/// [`solve_crs`] with execution options (metrics, cancellation).
 pub fn solve_crs_with(ctx: &InstanceContext, m: usize, opts: &SolveOptions) -> Vec<Selection> {
-    per_item(ctx.num_items(), opts, |i, ws| {
+    per_item(ctx, |i, dedup, ws| {
         let cost =
             |sel: &Selection| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices));
-        let solved = regress_item(ctx, i, &[], m, &cost, opts, ws, None);
-        or_single_review(solved, ctx.item(i), m, &cost)
+        let solved = regress_item(ctx, i, dedup, &[], m, &cost, opts, ws, None);
+        or_single_review(solved, dedup, m, &cost)
     })
 }
 
@@ -47,10 +45,10 @@ pub fn solve_crs_checked(
     if m == 0 {
         return Err(CoreError::InvalidParams("m must be at least 1"));
     }
-    let slots = per_item(ctx.num_items(), opts, |i, ws| {
+    let slots = per_item(ctx, |i, dedup, ws| {
         let cost =
             |sel: &Selection| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices));
-        regress_item(ctx, i, &[], m, &cost, opts, ws, None)
+        regress_item(ctx, i, dedup, &[], m, &cost, opts, ws, None)
     });
     classify_deadline(slots, opts)
 }

@@ -19,6 +19,7 @@
 
 use crate::comparesets::{or_single_review, plus_step, solve_comparesets_plus_with};
 use crate::instance::{InstanceContext, ReviewFeature, Selection};
+use crate::integer_regression::DedupColumns;
 use crate::objective::comparesets_plus_objective;
 use crate::{SelectParams, SolveOptions};
 use comparesets_data::ReviewId;
@@ -234,16 +235,18 @@ impl IncrementalSession {
             .map(|j| ctx.space().phi(ctx.item(j), &self.selections[j].indices))
             .collect();
         let other_phis: Vec<&[f64]> = others.iter().map(Vec::as_slice).collect();
+        let dedup = DedupColumns::build(ctx.item(i));
         let (solved, cost) = plus_step(
             ctx,
             i,
+            &dedup,
             &other_phis,
             &self.params,
             &self.opts,
             &mut self.workspace,
             None,
         );
-        let candidate = or_single_review(solved, ctx.item(i), self.params.m, &cost);
+        let candidate = or_single_review(solved, &dedup, self.params.m, &cost);
         if cost(&candidate) < cost(&self.selections[i]) {
             self.selections[i] = candidate;
         }

@@ -12,7 +12,9 @@
 //!    CompaReSetS (`[(Γ, λ)]`, Equation 4) and CompaReSetS+
 //!    (`[(Γ, λ), (φ(Sⱼ), μ), …]`).
 //! 2. Deduplicate identical columns (line 5, [`DedupColumns`]); `cᵢ` caps
-//!    how many copies of a deduplicated column may be selected.
+//!    how many copies of a deduplicated column may be selected. The
+//!    grouping is a function of the item alone, so a task borrows it and
+//!    a solve groups each item once.
 //! 3. For every sparsity budget ℓ = 1…m (line 7, the `m` argument of
 //!    [`integer_regression`]), solve the continuous relaxation with NOMP —
 //!    realised as **one** shared pursuit whose per-ℓ snapshots are
@@ -24,8 +26,9 @@
 //!    evaluated by a caller-supplied closure so CRS, CompaReSetS, and
 //!    CompaReSetS+ can share this machinery with their own objectives.
 //!
-//! Every regression builds its design matrix and runs its pursuit from
-//! scratch, and the matrix is dropped when the call returns. The only
+//! Every regression builds its design matrix as compressed sparse
+//! columns and runs its pursuit from scratch, and the matrix is dropped
+//! when the call returns. The only
 //! state kept across calls is [`RegressionWarm`], a per-item memo of the
 //! last completed answer: the alternating sweeps of CompaReSetS+ repeat a
 //! regression verbatim once the other items' selections stop moving, and
@@ -33,7 +36,7 @@
 //! (ARCHITECTURE.md §9).
 //!
 //! ```
-//! use comparesets_core::{integer_regression, RegressionTask, SolveCtl};
+//! use comparesets_core::{integer_regression, DedupColumns, RegressionTask, SolveCtl};
 //! use comparesets_core::instance::Item;
 //! use comparesets_core::space::{OpinionScheme, VectorSpace};
 //! use comparesets_data::{Polarity, ProductId, ReviewId};
@@ -53,7 +56,8 @@
 //! let all: Vec<usize> = (0..3).collect();
 //! let (tau, gamma) = (space.pi(&item, &all), space.phi(&item, &all));
 //!
-//! let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
+//! let dedup = DedupColumns::build(&item);
+//! let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
 //! let evaluate = |s: &comparesets_core::Selection| {
 //!     sq_distance(&tau, &space.pi(&item, &s.indices))
 //!         + sq_distance(&gamma, &space.phi(&item, &s.indices))
@@ -63,9 +67,7 @@
 //! assert!(!sel.is_empty() && sel.len() <= 2);
 //! ```
 
-use comparesets_linalg::{
-    nomp_path, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions, NompWorkspace, SolveError,
-};
+use comparesets_linalg::{nomp_path, CscMatrix, NompOptions, NompWorkspace, SolveError};
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
 use crate::error::CoreError;
@@ -128,157 +130,28 @@ impl DedupColumns {
     }
 }
 
-/// Storage backend for the regression design matrix.
-///
-/// Every backend produces **byte-identical selections**: the NOMP kernels
-/// are bit-exact across representations (skipped zero entries are exact
-/// no-ops under a `+0.0`-seeded accumulator), so the choice is purely a
-/// time/space decision. `Auto` (the default) picks per task by stored
-/// density — CSC below [`DENSITY_CROSSOVER`], dense at or above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatrixBackend {
-    /// Choose per task by the density of the assembled columns.
-    #[default]
-    Auto,
-    /// Always materialise the dense row-major matrix.
-    Dense,
-    /// Always build compressed sparse columns.
-    Sparse,
-}
-
-/// Density (`nnz / rows·cols`) at or above which [`MatrixBackend::Auto`]
-/// materialises the design matrix densely.
-///
-/// Measured on the `regression_engine/sparse/crossover` bench family
-/// (4 000×64 budget-path pursuits swept over stored density, committed
-/// in `BENCH_sparse.json`): the sparse backend's per-iteration advantage
-/// — correlation scans and Gram builds walk only stored entries — decays
-/// from ~5× at 5% density to parity at ~65%, where the dense kernels'
-/// contiguous 4-lane chunking catches up (see PERFORMANCE.md). Memory
-/// agrees: CSC stores 12 bytes per non-zero against dense's 8 bytes per
-/// cell, so CSC is also the smaller representation below 2/3 density.
-/// Paper-scale design matrices (z = 500 aspects, a handful of mentions
-/// per review) sit around 1–2% density, far below the crossover.
-pub const DENSITY_CROSSOVER: f64 = 0.65;
-
-/// The design matrix of a [`RegressionTask`], in whichever storage the
-/// [`MatrixBackend`] chose. Implements [`DesignMatrix`] by delegation, so
-/// the NOMP engine runs on it directly — no copies, no dispatch above the
-/// kernel level.
-#[derive(Debug, Clone)]
-pub enum TaskMatrix {
-    /// Compressed sparse columns (the low-density hot path).
-    Sparse(CscMatrix),
-    /// Dense row-major storage (the high-density fallback).
-    Dense(Matrix),
-}
-
-impl TaskMatrix {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        match self {
-            TaskMatrix::Sparse(m) => m.rows(),
-            TaskMatrix::Dense(m) => m.rows(),
-        }
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        match self {
-            TaskMatrix::Sparse(m) => m.cols(),
-            TaskMatrix::Dense(m) => m.cols(),
-        }
-    }
-
-    /// Entry accessor.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        match self {
-            TaskMatrix::Sparse(m) => m.get(i, j),
-            TaskMatrix::Dense(m) => m[(i, j)],
-        }
-    }
-
-    /// Whether this task holds the CSC representation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, TaskMatrix::Sparse(_))
-    }
-}
-
-impl DesignMatrix for TaskMatrix {
-    fn rows(&self) -> usize {
-        TaskMatrix::rows(self)
-    }
-    fn cols(&self) -> usize {
-        TaskMatrix::cols(self)
-    }
-    fn column_into(&self, j: usize, out: &mut [f64]) {
-        match self {
-            TaskMatrix::Sparse(m) => m.column_into(j, out),
-            TaskMatrix::Dense(m) => Matrix::column_into(m, j, out),
-        }
-    }
-    fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        match self {
-            TaskMatrix::Sparse(m) => DesignMatrix::matvec(m, x),
-            TaskMatrix::Dense(m) => Matrix::matvec(m, x),
-        }
-    }
-    fn tr_matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        match self {
-            TaskMatrix::Sparse(m) => DesignMatrix::tr_matvec(m, x),
-            TaskMatrix::Dense(m) => Matrix::tr_matvec(m, x),
-        }
-    }
-    fn dense_columns(&self, indices: &[usize]) -> Matrix {
-        match self {
-            TaskMatrix::Sparse(m) => m.dense_columns(indices),
-            TaskMatrix::Dense(m) => m.dense_columns(indices),
-        }
-    }
-    fn column_dot(&self, i: usize, j: usize) -> f64 {
-        match self {
-            TaskMatrix::Sparse(m) => m.column_dot(i, j),
-            TaskMatrix::Dense(m) => m.column_dot(i, j),
-        }
-    }
-    fn column_dot_vec(&self, j: usize, v: &[f64]) -> f64 {
-        match self {
-            TaskMatrix::Sparse(m) => m.column_dot_vec(j, v),
-            TaskMatrix::Dense(m) => m.column_dot_vec(j, v),
-        }
-    }
-    fn is_sparse(&self) -> bool {
-        TaskMatrix::is_sparse(self)
-    }
-    fn tr_scan_simd_blocks(&self, x: &[f64]) -> u64 {
-        match self {
-            TaskMatrix::Sparse(m) => m.tr_scan_simd_blocks(x),
-            TaskMatrix::Dense(m) => m.tr_scan_simd_blocks(x),
-        }
-    }
-}
-
 /// A prepared regression task: deduplicated design matrix plus target.
 ///
-/// The matrix is held behind [`TaskMatrix`], CSC by default at paper
-/// scale: with z = 500 aspects the CompaReSetS+ design matrix has
-/// `2z + n·z` ≈ 15 000+ rows per item while each review column touches
-/// only a handful — sparsity is what keeps Integer-Regression fast at
-/// real-corpus scale. Dense-ish tasks (stored density at or above
-/// [`DENSITY_CROSSOVER`]) materialise densely under
-/// [`MatrixBackend::Auto`] so the chunked dense kernels take over.
+/// The matrix is always compressed sparse columns: with z = 500 aspects
+/// the CompaReSetS+ design matrix has `2z + n·z` ≈ 15 000+ rows per item
+/// while each review column touches only a handful (1–2% density), and
+/// sparsity is what keeps Integer-Regression fast at real-corpus scale
+/// (ARCHITECTURE.md §13). The column grouping is borrowed: it is a
+/// function of the item alone, so a caller regressing one item many times
+/// (the alternating sweeps) groups its reviews once.
 #[derive(Debug, Clone)]
-pub struct RegressionTask {
+pub struct RegressionTask<'a> {
     /// Deduplicated design matrix Ṽ (rows = blocks, cols = groups).
-    pub matrix: TaskMatrix,
+    pub matrix: CscMatrix,
     /// Target vector Υ, pre-weighted to match the matrix blocks.
     pub target: Vec<f64>,
     /// Column groups / caps.
-    pub dedup: DedupColumns,
+    pub dedup: &'a DedupColumns,
 }
 
-impl RegressionTask {
-    /// Build the task for one item.
+impl<'a> RegressionTask<'a> {
+    /// Build the task for one item, whose reviews `dedup` groups
+    /// ([`DedupColumns::build`]).
     ///
     /// `target_blocks` are `(vector, weight)` pairs: the first must be the
     /// opinion target τᵢ with weight 1; every following block is an
@@ -292,30 +165,11 @@ impl RegressionTask {
     pub fn build(
         space: &VectorSpace,
         item: &Item,
+        dedup: &'a DedupColumns,
         opinion_target: &[f64],
         aspect_targets: &[(&[f64], f64)],
     ) -> Self {
-        Self::build_with(
-            space,
-            item,
-            opinion_target,
-            aspect_targets,
-            MatrixBackend::Auto,
-        )
-    }
-
-    /// [`RegressionTask::build`] with an explicit [`MatrixBackend`].
-    ///
-    /// # Panics
-    /// As [`RegressionTask::build`].
-    pub fn build_with(
-        space: &VectorSpace,
-        item: &Item,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-        backend: MatrixBackend,
-    ) -> Self {
-        match Self::try_build_with(space, item, opinion_target, aspect_targets, backend) {
+        match Self::try_build(space, item, dedup, opinion_target, aspect_targets) {
             Ok(task) => task,
             Err(e) => panic!("RegressionTask::build: {e}"),
         }
@@ -330,36 +184,28 @@ impl RegressionTask {
     pub fn try_build(
         space: &VectorSpace,
         item: &Item,
+        dedup: &'a DedupColumns,
         opinion_target: &[f64],
         aspect_targets: &[(&[f64], f64)],
-    ) -> Result<Self, CoreError> {
-        Self::try_build_with(
-            space,
-            item,
-            opinion_target,
-            aspect_targets,
-            MatrixBackend::Auto,
-        )
-    }
-
-    /// [`RegressionTask::try_build`] with an explicit [`MatrixBackend`].
-    ///
-    /// The columns are always assembled as sparse `(row, value)` entry
-    /// lists first — a dense matrix is only ever materialised after the
-    /// backend decision, so low-density tasks never pay `O(rows·cols)`
-    /// storage even transiently.
-    ///
-    /// # Errors
-    /// As [`RegressionTask::try_build`].
-    pub fn try_build_with(
-        space: &VectorSpace,
-        item: &Item,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-        backend: MatrixBackend,
     ) -> Result<Self, CoreError> {
         let target = Self::try_stack_target(space, opinion_target, aspect_targets)?;
-        let dedup = DedupColumns::build(item);
+        Self::with_target(space, item, dedup, target, aspect_targets)
+    }
+
+    /// Build the task around an already stacked target (the output of
+    /// [`RegressionTask::try_stack_target`] for the same blocks), so a
+    /// caller that stacked Υ for a memo lookup does not stack it twice.
+    ///
+    /// # Errors
+    /// [`CoreError::DimensionMismatch`] when a design entry falls outside
+    /// the target's rows.
+    pub(crate) fn with_target(
+        space: &VectorSpace,
+        item: &Item,
+        dedup: &'a DedupColumns,
+        target: Vec<f64>,
+        aspect_targets: &[(&[f64], f64)],
+    ) -> Result<Self, CoreError> {
         // Build columns sparsely: only the mentioned opinion slots and the
         // mentioned aspects of each review are non-zero.
         let columns: Vec<Vec<(usize, f64)>> = dedup
@@ -367,7 +213,8 @@ impl RegressionTask {
             .iter()
             .map(|group| column_entries(space, &item.features[group[0]], aspect_targets))
             .collect();
-        let matrix = assemble_matrix(target.len(), &columns, backend)?;
+        let matrix =
+            CscMatrix::try_from_columns(target.len(), &columns).map_err(classify_build_error)?;
         Ok(RegressionTask {
             matrix,
             target,
@@ -444,51 +291,7 @@ fn column_entries(
     entries
 }
 
-/// Materialise the backend's representation from sparse column entry
-/// lists. `Auto` compares the stored density against
-/// [`DENSITY_CROSSOVER`]; the dense path is only entered here, after the
-/// decision, so sparse tasks never allocate `rows·cols` cells.
-fn assemble_matrix(
-    rows: usize,
-    columns: &[Vec<(usize, f64)>],
-    backend: MatrixBackend,
-) -> Result<TaskMatrix, CoreError> {
-    let sparse = match backend {
-        MatrixBackend::Sparse => true,
-        MatrixBackend::Dense => false,
-        MatrixBackend::Auto => {
-            let cells = rows * columns.len();
-            // Column entries are zero-free by construction, so the entry
-            // count is the stored nnz.
-            let nnz: usize = columns.iter().map(Vec::len).sum();
-            cells == 0 || (nnz as f64) < DENSITY_CROSSOVER * cells as f64
-        }
-    };
-    if sparse {
-        let matrix = CscMatrix::try_from_columns(rows, columns).map_err(classify_build_error)?;
-        Ok(TaskMatrix::Sparse(matrix))
-    } else {
-        let mut m = Matrix::zeros(rows, columns.len());
-        for (j, entries) in columns.iter().enumerate() {
-            for &(r, v) in entries {
-                if r >= rows {
-                    return Err(CoreError::DimensionMismatch {
-                        context: "RegressionTask design matrix rows",
-                        expected: rows,
-                        actual: r,
-                    });
-                }
-                // `+=`, not `=`: duplicate rows sum, exactly as the CSC
-                // normalisation does.
-                m[(r, j)] += v;
-            }
-        }
-        Ok(TaskMatrix::Dense(m))
-    }
-}
-
-/// Map a CSC construction failure onto the core error taxonomy (same
-/// classification the original monolithic builder used).
+/// Map a CSC construction failure onto the core error taxonomy.
 fn classify_build_error(e: SolveError) -> CoreError {
     match e {
         SolveError::DimensionMismatch {
@@ -613,7 +416,7 @@ where
 /// design entries). The unchecked solvers answer such an item with
 /// the best single review instead.
 pub fn integer_regression<F>(
-    task: &RegressionTask,
+    task: &RegressionTask<'_>,
     m: usize,
     mut evaluate: F,
     workspace: &mut NompWorkspace,
@@ -652,7 +455,7 @@ where
     // candidate emerged".
     Ok(match best {
         Some((_, selection)) => selection,
-        None => best_single_review(&task.dedup, m, evaluate),
+        None => best_single_review(task.dedup, m, evaluate),
     })
 }
 
@@ -776,7 +579,7 @@ impl RegressionWarm {
     /// (`m == 0` or no reviews) leaves the memo as it was.
     pub(crate) fn remember(
         &mut self,
-        task: RegressionTask,
+        task: RegressionTask<'_>,
         aspect_targets: &[(&[f64], f64)],
         m: usize,
         selection: &Selection,
@@ -817,7 +620,11 @@ mod tests {
         )
     }
 
-    fn regress(task: &RegressionTask, m: usize, evaluate: impl Fn(&Selection) -> f64) -> Selection {
+    fn regress(
+        task: &RegressionTask<'_>,
+        m: usize,
+        evaluate: impl Fn(&Selection) -> f64,
+    ) -> Selection {
         integer_regression(
             task,
             m,
@@ -873,10 +680,17 @@ mod tests {
         use Polarity::{Negative, Positive};
         let item = item_with(vec![vec![(0, Positive)], vec![(1, Negative)]]);
         let space = VectorSpace::new(2, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let tau = vec![0.5, 0.0, 0.0, 0.5];
         let gamma = vec![1.0, 1.0];
         let phi_other = vec![1.0, 0.0];
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 2.0), (&phi_other, 0.5)]);
+        let task = RegressionTask::build(
+            &space,
+            &item,
+            &dedup,
+            &tau,
+            &[(&gamma, 2.0), (&phi_other, 0.5)],
+        );
         // rows = 4 (opinion) + 2 + 2.
         assert_eq!(task.matrix.rows(), 8);
         assert_eq!(task.matrix.cols(), 2);
@@ -895,10 +709,11 @@ mod tests {
     fn working_example_2_recovers_optimal_selection() {
         let item = crate::space::fixtures::working_example_item();
         let space = VectorSpace::new(5, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
         let sel = regress(&task, 3, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
@@ -920,10 +735,11 @@ mod tests {
     fn working_example_2_with_larger_budget() {
         let item = crate::space::fixtures::working_example_item();
         let space = VectorSpace::new(5, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
         let sel = regress(&task, 4, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
@@ -945,11 +761,12 @@ mod tests {
             vec![(0, Positive), (1, Negative)],
         ]);
         let space = VectorSpace::new(3, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let all: Vec<usize> = (0..5).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
         for m in 1..=5 {
-            let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
+            let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
             let sel = regress(&task, m, |s| {
                 let pi = space.pi(&item, &s.indices);
                 sq_distance(&tau, &pi)
@@ -963,9 +780,10 @@ mod tests {
     fn single_review_item() {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(1, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let tau = vec![1.0, 0.0];
         let gamma = vec![1.0];
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
         let sel = regress(&task, 3, |s| {
             sq_distance(&tau, &space.pi(&item, &s.indices))
         });
@@ -976,15 +794,16 @@ mod tests {
     fn try_build_classifies_dimension_mismatches() {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(2, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let short_tau = vec![1.0]; // opinion_dim is 4 for Binary over 2 aspects
-        let r = RegressionTask::try_build(&space, &item, &short_tau, &[]);
+        let r = RegressionTask::try_build(&space, &item, &dedup, &short_tau, &[]);
         assert!(matches!(
             r,
             Err(crate::error::CoreError::DimensionMismatch { .. })
         ));
         let tau = vec![0.0; space.opinion_dim()];
         let short_gamma = vec![1.0];
-        let r = RegressionTask::try_build(&space, &item, &tau, &[(&short_gamma, 1.0)]);
+        let r = RegressionTask::try_build(&space, &item, &dedup, &tau, &[(&short_gamma, 1.0)]);
         assert!(matches!(
             r,
             Err(crate::error::CoreError::DimensionMismatch { .. })
@@ -995,8 +814,9 @@ mod tests {
     fn strict_variant_propagates_non_finite_targets() {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(1, OpinionScheme::Binary);
+        let dedup = DedupColumns::build(&item);
         let tau = vec![1.0, 0.0];
-        let mut task = RegressionTask::build(&space, &item, &tau, &[]);
+        let mut task = RegressionTask::build(&space, &item, &dedup, &tau, &[]);
         task.target[0] = f64::NAN;
         let r = integer_regression(
             &task,
@@ -1008,7 +828,7 @@ mod tests {
         assert!(matches!(r, Err(SolveError::NonFinite { .. })));
         // The unchecked solvers degrade to the single-review fallback
         // instead of failing.
-        let sel = best_single_review(&task.dedup, 2, |_| 0.0);
+        let sel = best_single_review(task.dedup, 2, |_| 0.0);
         assert_eq!(sel.indices, vec![0]);
     }
 }

@@ -15,6 +15,13 @@
 //! * The three **opinion definitions** of §4.2.3 (binary, 3-polarity,
 //!   unary-scale).
 //!
+//! Every solver runs its items in one sequential loop through one pursuit
+//! workspace, and every per-item regression builds one compressed sparse
+//! column design matrix (paper-scale tasks are 1–2% dense).
+//! [`SolveOptions`] carries only what does not change a selection: warm
+//! starts, a metrics collector, and a cancellation token that returns
+//! the best-so-far selections once it fires.
+//!
 //! ## Walkthrough
 //!
 //! ```
@@ -61,20 +68,15 @@ pub use error::CoreError;
 pub use exhaustive::{solve_exhaustive, solve_exhaustive_item};
 pub use incremental::{IncrementalSession, SessionEvent};
 pub use instance::{InstanceContext, Item, ReviewFeature, Selection};
-pub use integer_regression::{
-    integer_regression, MatrixBackend, RegressionTask, RegressionWarm, TaskMatrix,
-    DENSITY_CROSSOVER,
-};
+pub use integer_regression::{integer_regression, DedupColumns, RegressionTask, RegressionWarm};
 pub use objective::{
     comparesets_objective, comparesets_plus_objective, item_objective, pair_distance,
 };
 pub use space::{OpinionScheme, VectorSpace};
 
-use comparesets_linalg::{with_pooled_workspace, NompWorkspace};
 pub use comparesets_obs::{
     CancelToken, MetricsReport, MetricsSnapshot, SolveCtl, SolverMetrics, METRICS_SCHEMA,
 };
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,18 +105,14 @@ impl Default for SelectParams {
 /// Execution knobs orthogonal to the model parameters: how to run a
 /// solver, never what it computes.
 ///
-/// **Determinism guarantee:** for any fixed inputs, every solver returns
-/// the same selections and objectives under every `SolveOptions` value.
-/// Parallel runs fan independent per-item regressions over rayon and
-/// collect the results in item order (never completion order), so turning
-/// parallelism on is purely a wall-clock decision.
+/// Every solver runs its items in one sequential loop through one
+/// pursuit workspace, and every regression builds one CSC design matrix
+/// (ARCHITECTURE.md §5, §13); none of the knobs below changes that.
 ///
-/// The optional `metrics` collector is likewise observation-only: solvers
-/// count pursuit iterations, refits, and fallback activations into it
-/// (see ARCHITECTURE.md §7) without ever reading it back, and with the
-/// default `None` no counter or clock is touched at all. Because the
-/// per-item work is identical under parallel and sequential execution,
-/// the aggregate counters are too.
+/// The optional `metrics` collector is observation-only: solvers count
+/// pursuit iterations, refits, and fallback activations into it (see
+/// ARCHITECTURE.md §7) without ever reading it back, and with the
+/// default `None` no counter or clock is touched at all.
 ///
 /// The optional `cancel` token is the one knob that *can* change results —
 /// by design: once the token fires (explicit cancel or deadline expiry)
@@ -130,27 +128,11 @@ impl Default for SelectParams {
 /// path by `crates/core/tests/warm_start.rs`; set `warm_start` to `false`
 /// to force every sweep to solve from scratch (the cold baseline the
 /// `alternation/*` benches compare against).
-///
-/// `backend` picks the design-matrix storage ([`MatrixBackend`]): CSC,
-/// dense, or per-task automatic selection by stored density against
-/// [`DENSITY_CROSSOVER`] (the default). The NOMP kernels are bit-exact
-/// across representations, so this too is purely a wall-clock/memory
-/// decision — selections never change with the backend (pinned by
-/// `crates/core/tests/backend_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Fan independent per-item regression tasks out over rayon's pool.
-    pub parallel: bool,
-    /// Worker count for parallel runs; `None` uses rayon's global default
-    /// (all cores). Ignored when `parallel` is false.
-    pub threads: Option<usize>,
     /// Carry per-item answer memos across alternating sweeps (on by
     /// default).
     pub warm_start: bool,
-    /// Design-matrix storage backend for every regression the solve
-    /// builds ([`MatrixBackend::Auto`] by default: CSC below the
-    /// [`DENSITY_CROSSOVER`] density, dense at or above it).
-    pub backend: MatrixBackend,
     /// Optional solver-metrics collector shared by every regression the
     /// solve performs; `None` (the default) disables all counting.
     pub metrics: Option<Arc<SolverMetrics>>,
@@ -163,10 +145,7 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            parallel: false,
-            threads: None,
             warm_start: true,
-            backend: MatrixBackend::Auto,
             metrics: None,
             cancel: None,
         }
@@ -174,26 +153,9 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// Sequential execution (the default).
+    /// The default options: warm starts on, no metrics, no token.
     pub fn sequential() -> Self {
         SolveOptions::default()
-    }
-
-    /// Parallel execution on rayon's global pool.
-    pub fn parallel() -> Self {
-        SolveOptions {
-            parallel: true,
-            ..SolveOptions::default()
-        }
-    }
-
-    /// Parallel execution on a dedicated pool of `n` workers.
-    pub fn with_threads(n: usize) -> Self {
-        SolveOptions {
-            parallel: true,
-            threads: Some(n),
-            ..SolveOptions::default()
-        }
     }
 
     /// This options value with a metrics collector attached.
@@ -224,13 +186,6 @@ impl SolveOptions {
         self
     }
 
-    /// This options value with an explicit design-matrix backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: MatrixBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Borrow the collector in the form the linalg layer consumes.
     pub(crate) fn metrics_ref(&self) -> Option<&SolverMetrics> {
         self.metrics.as_deref()
@@ -246,37 +201,6 @@ impl SolveOptions {
     /// to decide whether to classify the result as deadline-expired.
     pub(crate) fn cancel_fired(&self) -> bool {
         self.cancel.as_deref().is_some_and(CancelToken::fired)
-    }
-}
-
-/// Run `solve` for every item `0..n` and collect the results in item
-/// order (never completion order). With [`SolveOptions::parallel`] the
-/// items fan out over rayon — a dedicated pool when a thread count is
-/// pinned (the calling thread if that pool cannot be built), the global
-/// pool otherwise — each worker drawing a pooled workspace; otherwise
-/// they run sequentially through one workspace. Either way the results
-/// are identical.
-pub(crate) fn per_item<T: Send>(
-    n: usize,
-    opts: &SolveOptions,
-    solve: impl Fn(usize, &mut NompWorkspace) -> T + Sync,
-) -> Vec<T> {
-    if !opts.parallel {
-        let mut ws = NompWorkspace::new();
-        return (0..n).map(|i| solve(i, &mut ws)).collect();
-    }
-    let fan_out = || {
-        (0..n)
-            .into_par_iter()
-            .map(|i| with_pooled_workspace(|ws| solve(i, ws)))
-            .collect()
-    };
-    match opts.threads {
-        Some(threads) => match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            Ok(pool) => pool.install(fan_out),
-            Err(_) => fan_out(),
-        },
-        None => fan_out(),
     }
 }
 
@@ -331,9 +255,8 @@ pub fn solve(
 }
 
 /// [`solve`] with execution options. The regression-based solvers (CRS,
-/// CompaReSetS, CompaReSetS+) honour [`SolveOptions::parallel`]; the
-/// random and greedy baselines are cheap enough that they always run
-/// sequentially. Selections are identical for every options value.
+/// CompaReSetS, CompaReSetS+) honour every [`SolveOptions`] knob; the
+/// random and greedy baselines run no regression and ignore them.
 pub fn solve_with(
     ctx: &InstanceContext,
     algorithm: Algorithm,

@@ -7,10 +7,22 @@ use crate::instance::{InstanceContext, Selection};
 /// Per-item CompaReSetS cost (Equation 3):
 /// `Δ(τᵢ, π(Sᵢ)) + λ² Δ(Γ, φ(Sᵢ))`.
 pub fn item_objective(ctx: &InstanceContext, i: usize, selection: &Selection, lambda: f64) -> f64 {
+    item_objective_and_phi(ctx, i, selection, lambda).0
+}
+
+/// [`item_objective`] together with the φ(Sᵢ) it was computed from, for
+/// callers that need φ(Sᵢ) again (the CompaReSetS+ coupling term).
+pub(crate) fn item_objective_and_phi(
+    ctx: &InstanceContext,
+    i: usize,
+    selection: &Selection,
+    lambda: f64,
+) -> (f64, Vec<f64>) {
     let item = ctx.item(i);
     let pi = ctx.space().pi(item, &selection.indices);
     let phi = ctx.space().phi(item, &selection.indices);
-    sq_distance(ctx.tau(i), &pi) + lambda * lambda * sq_distance(ctx.gamma(), &phi)
+    let cost = sq_distance(ctx.tau(i), &pi) + lambda * lambda * sq_distance(ctx.gamma(), &phi);
+    (cost, phi)
 }
 
 /// Full CompaReSetS objective (Equation 1): the sum of per-item costs.

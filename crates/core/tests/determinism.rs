@@ -1,14 +1,13 @@
-//! Parallel execution must be a pure wall-clock decision: for every
-//! solver and every [`SolveOptions`] value, the selections and objectives
-//! are bit-identical to the sequential run. These tests pin that
-//! guarantee on generated instances of all three categories.
+//! The fault-tolerant (`_checked`) solve path must be a pure
+//! error-handling decision: on well-posed inputs every solver's checked
+//! selections are bit-identical to its unchecked run. These tests pin
+//! that guarantee on generated instances of all three categories.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_core::{
-    comparesets_objective, comparesets_plus_objective, solve_checked, solve_comparesets_plus_with,
-    solve_comparesets_with, solve_crs_with, solve_with, Algorithm, InstanceContext, OpinionScheme,
-    SelectParams, Selection, SolveOptions,
+    solve_checked, solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, Selection,
+    SolveOptions,
 };
 use comparesets_data::CategoryPreset;
 
@@ -30,84 +29,17 @@ fn contexts() -> Vec<InstanceContext> {
     .collect()
 }
 
-fn option_grid() -> [SolveOptions; 3] {
-    [
-        SolveOptions::parallel(),
-        SolveOptions::with_threads(2),
-        SolveOptions::with_threads(4),
-    ]
-}
-
 /// Selections compare exactly: same review indices per item.
-fn assert_identical(seq: &[Selection], par: &[Selection], what: &str) {
-    assert_eq!(seq.len(), par.len(), "{what}: item count");
-    for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {
-        assert_eq!(s.indices, p.indices, "{what}: item {i} indices");
-    }
-}
-
-#[test]
-fn crs_parallel_matches_sequential() {
-    let seq_opts = SolveOptions::sequential();
-    for (c, ctx) in contexts().iter().enumerate() {
-        for m in [1, 3] {
-            let seq = solve_crs_with(ctx, m, &seq_opts);
-            for opts in option_grid() {
-                let par = solve_crs_with(ctx, m, &opts);
-                assert_identical(&seq, &par, &format!("crs ctx {c} m {m} {opts:?}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn comparesets_parallel_matches_sequential() {
-    let params = SelectParams::default();
-    let seq_opts = SolveOptions::sequential();
-    for (c, ctx) in contexts().iter().enumerate() {
-        let seq = solve_comparesets_with(ctx, &params, &seq_opts);
-        let seq_obj = comparesets_objective(ctx, &seq, params.lambda);
-        for opts in option_grid() {
-            let par = solve_comparesets_with(ctx, &params, &opts);
-            assert_identical(&seq, &par, &format!("comparesets ctx {c} {opts:?}"));
-            let par_obj = comparesets_objective(ctx, &par, params.lambda);
-            assert_eq!(seq_obj.to_bits(), par_obj.to_bits());
-        }
-    }
-}
-
-#[test]
-fn comparesets_plus_parallel_matches_sequential() {
-    let params = SelectParams::default();
-    let seq_opts = SolveOptions::sequential();
-    for (c, ctx) in contexts().iter().enumerate() {
-        let seq = solve_comparesets_plus_with(ctx, &params, &seq_opts);
-        let seq_obj = comparesets_plus_objective(ctx, &seq, params.lambda, params.mu);
-        for opts in option_grid() {
-            let par = solve_comparesets_plus_with(ctx, &params, &opts);
-            assert_identical(&seq, &par, &format!("comparesets+ ctx {c} {opts:?}"));
-            let par_obj = comparesets_plus_objective(ctx, &par, params.lambda, params.mu);
-            assert_eq!(seq_obj.to_bits(), par_obj.to_bits());
-        }
-    }
-}
-
-#[test]
-fn solve_with_honours_options_for_every_algorithm() {
-    let params = SelectParams::default();
-    let ctx = &contexts()[0];
-    for alg in Algorithm::ALL {
-        let seq = solve_with(ctx, alg, &params, 7, &SolveOptions::sequential());
-        for opts in option_grid() {
-            let par = solve_with(ctx, alg, &params, 7, &opts);
-            assert_identical(&seq, &par, &format!("{alg:?} {opts:?}"));
-        }
+fn assert_identical(expected: &[Selection], actual: &[Selection], what: &str) {
+    assert_eq!(expected.len(), actual.len(), "{what}: item count");
+    for (i, (e, a)) in expected.iter().zip(actual.iter()).enumerate() {
+        assert_eq!(e.indices, a.indices, "{what}: item {i} indices");
     }
 }
 
 /// The fault-tolerant (`_checked`) solve path must not perturb well-posed
 /// solves: for every algorithm, every slot is `Ok` and the selections are
-/// bit-identical to the legacy entry point, sequentially and in parallel.
+/// bit-identical to the legacy entry point.
 #[test]
 fn checked_path_is_bit_identical_to_legacy_on_well_posed_inputs() {
     let params = SelectParams::default();
@@ -122,18 +54,6 @@ fn checked_path_is_bit_identical_to_legacy_on_well_posed_inputs() {
                     .map(|(i, r)| r.unwrap_or_else(|e| panic!("ctx {c} {alg:?} item {i}: {e}")))
                     .collect();
             assert_identical(&legacy, &checked, &format!("checked ctx {c} {alg:?}"));
-            for opts in option_grid() {
-                let par: Vec<Selection> = solve_checked(ctx, alg, &params, 7, &opts)
-                    .expect("valid params")
-                    .into_iter()
-                    .map(|r| r.expect("well-posed item"))
-                    .collect();
-                assert_identical(
-                    &legacy,
-                    &par,
-                    &format!("checked-par ctx {c} {alg:?} {opts:?}"),
-                );
-            }
         }
     }
 }

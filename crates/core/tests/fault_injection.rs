@@ -1,7 +1,6 @@
 //! Fault injection at the batch-solver level: a degenerate item must land
 //! as a per-item `Err` in its slot — with the failing item's index and a
-//! typed linalg cause — while every other item still solves. Parallel and
-//! sequential runs must agree slot for slot.
+//! typed linalg cause — while every other item still solves.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -82,24 +81,6 @@ fn plus_sweeps_complete_despite_a_poisoned_item() {
     let slots =
         solve_comparesets_plus_checked(&ctx, &params, 2, &SolveOptions::sequential()).unwrap();
     assert_slot_pattern(&slots, "comparesets+ seq");
-}
-
-#[test]
-fn parallel_and_sequential_agree_slot_for_slot_under_faults() {
-    let ctx = contaminated_context();
-    let params = SelectParams::default();
-    let seq = solve_comparesets_checked(&ctx, &params, &SolveOptions::sequential()).unwrap();
-    for opts in [SolveOptions::parallel(), SolveOptions::with_threads(2)] {
-        let par = solve_comparesets_checked(&ctx, &params, &opts).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {
-            match (s, p) {
-                (Ok(a), Ok(b)) => assert_eq!(a.indices, b.indices, "item {i} {opts:?}"),
-                (Err(a), Err(b)) => assert_eq!(a, b, "item {i} {opts:?}"),
-                (a, b) => panic!("item {i} {opts:?}: seq {a:?} vs par {b:?}"),
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! Warm-start pinning tests: carrying per-item answer memos across
 //! alternating sweeps, and across calls, must never change a selection.
 //! Every solver that threads [`RegressionWarm`] state is compared
-//! byte-for-byte against its cold-start twin, sequentially and in
-//! parallel, and the `warm_start_hits` counter is checked to actually
-//! fire on multi-sweep workloads.
+//! byte-for-byte against its cold-start twin, and the `warm_start_hits`
+//! counter is checked to actually fire on multi-sweep workloads.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -11,9 +10,8 @@ use std::sync::Arc;
 
 use comparesets_core::{
     solve_comparesets_plus_checked, solve_comparesets_plus_sweeps_warm_with,
-    solve_comparesets_plus_sweeps_with, solve_comparesets_with, solve_crs_with, IncrementalSession,
-    InstanceContext, Item, OpinionScheme, RegressionWarm, ReviewFeature, SelectParams, Selection,
-    SolveOptions, SolverMetrics,
+    solve_comparesets_plus_sweeps_with, IncrementalSession, InstanceContext, Item, OpinionScheme,
+    RegressionWarm, ReviewFeature, SelectParams, Selection, SolveOptions, SolverMetrics,
 };
 use comparesets_data::{CategoryPreset, Polarity, ProductId, ReviewId};
 use rand::{Rng, SeedableRng};
@@ -36,7 +34,6 @@ fn cold() -> SolveOptions {
 #[test]
 fn warm_start_defaults_on_and_the_builder_flips_it() {
     assert!(SolveOptions::default().warm_start);
-    assert!(SolveOptions::parallel().warm_start);
     assert!(!cold().warm_start);
 }
 
@@ -45,44 +42,14 @@ fn warm_sweeps_select_identically_to_cold_sweeps() {
     let params = SelectParams::default();
     for ctx in &contexts() {
         for sweeps in 1..=4 {
-            for opts in [SolveOptions::sequential(), SolveOptions::with_threads(2)] {
-                let warm = solve_comparesets_plus_sweeps_with(ctx, &params, sweeps, &opts);
-                let coldsel = solve_comparesets_plus_sweeps_with(
-                    ctx,
-                    &params,
-                    sweeps,
-                    &opts.clone().with_warm_start(false),
-                );
-                assert_eq!(warm, coldsel, "sweeps={sweeps} drifted under warm starts");
-            }
-        }
-    }
-}
-
-#[test]
-fn warm_equals_cold_on_every_backend() {
-    // The warm==cold identity must hold whether the design matrices are
-    // dense, CSC, or auto-selected — memo hits may change nothing but
-    // wall-clock (crates/core/tests/backend_equivalence.rs pins
-    // cross-backend identity; this pins warm==cold per backend).
-    use comparesets_core::MatrixBackend;
-    let params = SelectParams::default();
-    for ctx in &contexts() {
-        for backend in [MatrixBackend::Dense, MatrixBackend::Sparse] {
-            for sweeps in [1, 3] {
-                let opts = SolveOptions::default().with_backend(backend);
-                let warm = solve_comparesets_plus_sweeps_with(ctx, &params, sweeps, &opts);
-                let coldsel = solve_comparesets_plus_sweeps_with(
-                    ctx,
-                    &params,
-                    sweeps,
-                    &opts.clone().with_warm_start(false),
-                );
-                assert_eq!(
-                    warm, coldsel,
-                    "warm drifted from cold on {backend:?} at sweeps={sweeps}"
-                );
-            }
+            let warm = solve_comparesets_plus_sweeps_with(
+                ctx,
+                &params,
+                sweeps,
+                &SolveOptions::sequential(),
+            );
+            let coldsel = solve_comparesets_plus_sweeps_with(ctx, &params, sweeps, &cold());
+            assert_eq!(warm, coldsel, "sweeps={sweeps} drifted under warm starts");
         }
     }
 }
@@ -106,22 +73,6 @@ fn checked_warm_sweeps_select_identically_to_cold_sweeps() {
                     .collect();
             assert_eq!(warm, coldsel, "checked sweeps={sweeps} drifted");
         }
-    }
-}
-
-#[test]
-fn pooled_parallel_fanout_matches_sequential_exactly() {
-    // The rayon fan-outs now borrow thread-local pooled workspaces; the
-    // pooling must be invisible in the results of every batch solver.
-    let params = SelectParams::default();
-    for ctx in &contexts() {
-        let seq = SolveOptions::sequential();
-        let par = SolveOptions::with_threads(2);
-        assert_eq!(
-            solve_comparesets_with(ctx, &params, &seq),
-            solve_comparesets_with(ctx, &params, &par),
-        );
-        assert_eq!(solve_crs_with(ctx, 3, &seq), solve_crs_with(ctx, 3, &par));
     }
 }
 

@@ -95,10 +95,10 @@ impl SuiteCheckpoint {
 }
 
 /// Canonical fingerprint of every [`EvalConfig`] knob that affects
-/// experiment *results*. Execution options (thread counts, metrics
+/// experiment *results*. Execution options (warm starts, metrics
 /// collectors, cancellation tokens) are deliberately excluded: results
-/// are identical across them, so a checkpoint taken under `--parallel`
-/// resumes fine under sequential execution and vice versa.
+/// are identical across them, so a checkpoint taken with warm starts on
+/// resumes fine with them off and vice versa.
 pub fn config_fingerprint(cfg: &EvalConfig) -> String {
     format!(
         "cfg/v1;ppc={};maxc={};maxi={};seed={};ms={:?};lambda={};mu={};scheme={:?};exact_ms={}",
@@ -298,7 +298,7 @@ mod tests {
     fn config_fingerprint_tracks_result_affecting_knobs_only() {
         let a = config_fingerprint(&EvalConfig::tiny());
         let mut cfg = EvalConfig::tiny();
-        cfg.solve_options = comparesets_core::SolveOptions::parallel();
+        cfg.solve_options = comparesets_core::SolveOptions::default().with_warm_start(false);
         assert_eq!(a, config_fingerprint(&cfg), "execution options excluded");
         cfg.seed += 1;
         assert_ne!(a, config_fingerprint(&cfg), "seed included");

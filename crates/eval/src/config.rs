@@ -33,10 +33,11 @@ pub struct EvalConfig {
     pub scheme: OpinionScheme,
     /// Exact-solver time limit in milliseconds (paper: 60 000).
     pub exact_time_limit_ms: u64,
-    /// Solver execution options shared by every experiment solve:
-    /// within-instance parallelism plus the optional metrics collector
-    /// (`run_suite` installs a fresh collector per experiment). Results
-    /// are identical for every value — see `SolveOptions`.
+    /// Solver execution options shared by every experiment solve: warm
+    /// starts, the optional metrics collector (`run_suite` installs a
+    /// fresh collector per experiment) and the optional cancellation
+    /// token. Results are identical for every value of the first two —
+    /// see `SolveOptions`.
     pub solve_options: SolveOptions,
 }
 

@@ -69,8 +69,6 @@ pub fn run_algorithm(
     params: &SelectParams,
     seed: u64,
 ) -> Vec<Vec<Selection>> {
-    // Instances already fan out over the pool here, so each per-instance
-    // solve stays sequential — one level of parallelism, no oversubscription.
     run_algorithm_opts(instances, algorithm, params, seed, &SolveOptions::default())
 }
 
@@ -86,10 +84,9 @@ pub fn run_algorithm_cfg(
     run_algorithm_opts(instances, algorithm, params, cfg.seed, &cfg.solve_options)
 }
 
-/// [`run_algorithm`] with solver execution options. Instance-level fan-out
-/// always runs on rayon; `opts` additionally controls the within-instance
-/// per-item parallelism of the regression solvers. Results are identical
-/// for every options value (both fan-outs collect in input order).
+/// [`run_algorithm`] with solver execution options. Instances fan out
+/// through `par_iter` and are collected in input order; each instance's
+/// solve runs its items sequentially under `opts`.
 pub fn run_algorithm_opts(
     instances: &[PreparedInstance],
     algorithm: Algorithm,

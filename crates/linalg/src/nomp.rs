@@ -29,9 +29,7 @@
 //!
 //! Scratch buffers (residual, correlations, the cached Gram) live in a
 //! reusable [`NompWorkspace`] so solvers that run many pursuits (one per
-//! item per sweep in CompaReSetS+) allocate once per task;
-//! [`with_pooled_workspace`] keeps one per rayon worker thread so parallel
-//! fan-outs stop allocating a fresh workspace per item.
+//! item per sweep in CompaReSetS+) allocate once per solve.
 //!
 //! Every pursuit starts cold: re-solves with a repeated input are answered
 //! above this crate, by the per-item answer memo of
@@ -433,30 +431,6 @@ pub fn nomp_path<M: DesignMatrix>(
         SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
     }
     Ok(results)
-}
-
-thread_local! {
-    static WORKSPACE_POOL: std::cell::RefCell<Vec<NompWorkspace>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run `f` with a [`NompWorkspace`] drawn from a thread-local pool.
-///
-/// Parallel solvers fan one closure out per item; a fresh workspace per
-/// item would re-allocate the `O(rows + cols)` buffers every time (the
-/// overhead PERFORMANCE.md used to document). The pool keeps one warm
-/// workspace per worker thread — taken on entry, returned on exit — so
-/// reuse is as cheap as the sequential shared-workspace path while
-/// staying data-race-free without locks. Re-entrant calls simply draw a
-/// second workspace; a panic in `f` drops the drawn workspace, which is
-/// safe because workspaces carry no results between runs.
-pub fn with_pooled_workspace<R>(f: impl FnOnce(&mut NompWorkspace) -> R) -> R {
-    let mut ws = WORKSPACE_POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_default();
-    let out = f(&mut ws);
-    WORKSPACE_POOL.with(|p| p.borrow_mut().push(ws));
-    out
 }
 
 /// The straightforward NOMP implementation this crate shipped before the
@@ -865,23 +839,5 @@ mod tests {
             assert_eq!(path[l - 1].support, path[1].support);
             assert_eq!(path[l - 1].x, path[1].x);
         }
-    }
-
-    #[test]
-    fn pooled_workspace_matches_fresh_and_nests() {
-        let (a, b) = random_instance(10, 8, 6);
-        let ctl = SolveCtl::default();
-        let fresh = path(&a, &b, opts(4)).unwrap();
-        let pooled = with_pooled_workspace(|ws| {
-            // Re-entrant draw: the inner call gets its own workspace.
-            let inner = with_pooled_workspace(|ws2| nomp_path(&a, &b, opts(4), ws2, ctl).unwrap());
-            let outer = nomp_path(&a, &b, opts(4), ws, ctl).unwrap();
-            assert_paths_bit_equal(&inner, &outer, "nested pool draws");
-            outer
-        });
-        assert_paths_bit_equal(&fresh, &pooled, "pooled vs fresh");
-        // Second borrow from the (now warm) pool still resets state.
-        let again = with_pooled_workspace(|ws| nomp_path(&a, &b, opts(4), ws, ctl).unwrap());
-        assert_paths_bit_equal(&fresh, &again, "pool reuse");
     }
 }

@@ -15,10 +15,9 @@
 //!   counters into a serialisable [`MetricsSnapshot`]; [`MetricsReport`]
 //!   wraps a snapshot with run identity for `--metrics-json`.
 //!
-//! Counters are relaxed atomics: increments from rayon workers interleave
-//! freely, but because the solvers do identical work in parallel and
-//! sequential mode (item-order reduction), the *aggregate* totals are
-//! identical either way — pinned by `crates/core/tests/metrics.rs`.
+//! Counters are relaxed atomics, so concurrent workers (the serving
+//! daemon's, the parallel branch-and-bound's) can share one collector;
+//! increments interleave freely and only the totals are meaningful.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

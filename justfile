@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
+ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke results-check smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
 
 fmt:
     cargo fmt
@@ -43,6 +43,19 @@ perfbench-smoke:
         cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
             --workload "$workload" --seconds 1 --trace 1
     done
+
+# The committed results reproduce: run the suite at default scale
+# (about 2 min in release) and diff it against results_default_scale.txt.
+# Figure 7's rows are wall-clock times, so the sed drops Figure 7
+# (through Figure 11's header) from both files (mirrors the "Results
+# check" CI step).
+results-check:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo run --release -q -p comparesets-cli -- eval --out results_check.txt
+    diff <(sed '/^Figure 7:/,/^Figure 11:/d' results_default_scale.txt) \
+         <(sed '/^Figure 7:/,/^Figure 11:/d' results_check.txt)
+    echo "results check ok"
 
 # Rustdoc must build warnings-clean (broken intra-doc links, missing
 # docs on #![warn(missing_docs)] crates).
