@@ -41,8 +41,6 @@ fn design(rows: usize, cols: usize, nnz: usize, seed: u64) -> (Matrix, CscMatrix
         }
         columns.push(entries);
     }
-    let sparse = CscMatrix::from_columns(rows, &columns);
-    let dense = sparse.to_dense();
     // Target: a blend of a few columns plus noise.
     let mut b = vec![0.0; rows];
     for j in 0..cols.min(3) {
@@ -53,7 +51,8 @@ fn design(rows: usize, cols: usize, nnz: usize, seed: u64) -> (Matrix, CscMatrix
     for v in &mut b {
         *v += rng.random_range(0.0..0.05);
     }
-    (dense, sparse, b)
+    let sparse = CscMatrix::from_columns(rows, columns);
+    (sparse.to_dense(), sparse, b)
 }
 
 /// A 0/1 design with each entry present independently with probability
@@ -75,8 +74,6 @@ fn design_at_density(
         }
         columns.push(entries);
     }
-    let sparse = CscMatrix::from_columns(rows, &columns);
-    let dense = sparse.to_dense();
     let mut b = vec![0.0; rows];
     for column in columns.iter().take(3) {
         for (r, v) in column {
@@ -86,7 +83,8 @@ fn design_at_density(
     for v in &mut b {
         *v += rng.random_range(0.0..0.05);
     }
-    (dense, sparse, b)
+    let sparse = CscMatrix::from_columns(rows, columns);
+    (sparse.to_dense(), sparse, b)
 }
 
 /// One unmetered budget-path pursuit on a fresh workspace.

@@ -45,8 +45,6 @@ fn design(rows: usize, cols: usize, nnz: usize, seed: u64) -> (Matrix, CscMatrix
         }
         columns.push(entries);
     }
-    let sparse = CscMatrix::from_columns(rows, &columns);
-    let dense = sparse.to_dense();
     let mut b = vec![0.0; rows];
     for column in columns.iter().take(3) {
         for (r, v) in column {
@@ -56,7 +54,8 @@ fn design(rows: usize, cols: usize, nnz: usize, seed: u64) -> (Matrix, CscMatrix
     for v in &mut b {
         *v += rng.random_range(0.0..0.05);
     }
-    (dense, sparse, b)
+    let sparse = CscMatrix::from_columns(rows, columns);
+    (sparse.to_dense(), sparse, b)
 }
 
 /// The old engine's work for budgets 1..=l_max: one full pursuit per

@@ -22,10 +22,10 @@
 use comparesets_bench::{StreamBenchReport, StreamMeasurement};
 use comparesets_core::SolverMetrics;
 use comparesets_data::wal::{self, CorpusStore, EventKind, ReviewEvent};
-use comparesets_data::{Dataset, ProductId, ReviewId};
+use comparesets_data::{Dataset, ProductId, ReviewId, TempDir};
 use comparesets_serve::{Client, IngestEvent, Request, Server, ServerConfig, Status};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -234,10 +234,7 @@ fn main() {
     let dataset = comparesets_bench::corpus();
     let pool = query_pool(&dataset);
     let targets = queried_products(&pool);
-    let root: PathBuf =
-        std::env::temp_dir().join(format!("comparesets_bench_stream_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("bench scratch dir");
+    let root = TempDir::new("bench_stream").expect("bench scratch dir");
 
     let mut measurements = Vec::new();
     for &clients in query_counts {
@@ -258,7 +255,6 @@ fn main() {
             recovery_samples,
         ));
     }
-    std::fs::remove_dir_all(&root).ok();
 
     let report = StreamBenchReport {
         bench: "stream".to_string(),

@@ -11,7 +11,7 @@ use comparesets_core::{
 };
 use comparesets_data::{
     io as corpus_io, AmazonError, AmazonLoader, CategoryPreset, ComparisonInstance, Dataset,
-    DatasetStats, ProductId,
+    DatasetStats, ProductId, TempDir,
 };
 use comparesets_graph::{
     improve_by_swaps, solve_exact, solve_greedy as graph_greedy, solve_peeling, solve_random_k,
@@ -724,7 +724,9 @@ fn cmd_recover(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<Strin
 /// and simulated crashes under an injection profile (short writes,
 /// failed fsyncs, disk full, bit flips on read) and verifies after every
 /// crash that the acknowledged prefix recovers byte-identical. A single
-/// violated invariant fails the run with a data error.
+/// violated invariant fails the run with a data error. Schedule `s` runs
+/// in `sched_<s>` under `--dir`, removed once it passes; nothing else in
+/// `--dir` is touched.
 fn cmd_chaos(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
     use comparesets_data::{run_fault_schedule, CategoryPreset, FaultProfile};
 
@@ -733,9 +735,16 @@ fn cmd_chaos(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String
         return Err(CliError::usage("--schedules: must be at least 1"));
     }
     let base_seed: u64 = args.get_or("seed", 0)?;
+    // Without --dir the schedules run in a fresh directory, removed when
+    // the run ends, also when an invariant fails.
+    let scratch;
     let root = match args.get("dir") {
         Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("comparesets_chaos_{}", std::process::id())),
+        None => {
+            scratch = TempDir::new("chaos")
+                .map_err(|e| CliError::io(format!("creating a scratch directory: {e}")))?;
+            scratch.to_path_buf()
+        }
     };
     let seed_dataset = CategoryPreset::Toy.config(6, 5).generate();
     let profile = FaultProfile::chaos();
@@ -757,7 +766,6 @@ fn cmd_chaos(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String
         snapshots += outcome.snapshots;
         failed += outcome.failed_appends;
     }
-    let _ = std::fs::remove_dir_all(&root);
     Ok(format!(
         "{schedules} schedule(s) clean: {acked} event(s) acked, {faults} fault(s) injected, \
          {failed} append(s) failed, {crashes} crash(es) recovered, {snapshots} snapshot(s); \
@@ -837,12 +845,11 @@ mod tests {
         dispatch(&v)
     }
 
-    /// A corpus path no other test shares: tests run on parallel threads
-    /// of one process, so the pid alone does not make a path unique. The
-    /// directory holding it, with any file a test derives from the path,
-    /// is removed on drop, whether the test passed or not.
+    /// A corpus path no other test shares, in its own [`TempDir`]: the
+    /// directory, with any file a test derives from the path, is removed
+    /// on drop, whether the test passed or not.
     struct TempCorpus {
-        dir: std::path::PathBuf,
+        _dir: TempDir,
         path: String,
     }
 
@@ -854,20 +861,10 @@ mod tests {
         }
     }
 
-    impl Drop for TempCorpus {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-
     fn temp_corpus() -> TempCorpus {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("comparesets_cli_test_{}_{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli_test").unwrap();
         let path = dir.join("corpus.json").to_string_lossy().into_owned();
-        TempCorpus { dir, path }
+        TempCorpus { _dir: dir, path }
     }
 
     #[test]
@@ -1232,10 +1229,25 @@ mod tests {
     }
 
     #[test]
+    fn chaos_removes_only_its_own_schedule_directories() {
+        let dir = TempDir::new("cli_chaos").unwrap();
+        std::fs::write(dir.join("keep.txt"), b"not the run's").unwrap();
+        let args = ["chaos", "--schedules", "2", "--dir", dir.to_str().unwrap()];
+        let report = run(&args).unwrap();
+        assert!(report.contains("2 schedule(s) clean"), "{report}");
+        let left: Vec<_> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["keep.txt"]);
+        // Without --dir the run uses a scratch directory of its own.
+        let report = run(&["chaos", "--schedules", "1"]).unwrap();
+        assert!(report.contains("1 schedule(s) clean"), "{report}");
+    }
+
+    #[test]
     fn eval_subset_writes_deterministic_report() {
-        let dir = std::env::temp_dir().join(format!("comparesets_cli_eval_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli_eval").unwrap();
         let out = dir.join("report.txt");
         let summary = run(&[
             "eval",
@@ -1251,7 +1263,6 @@ mod tests {
         let report = std::fs::read_to_string(&out).unwrap();
         assert!(report.contains("1/1 experiments completed"), "{report}");
         assert!(!report.contains(" ms |"), "wall clock leaked: {report}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1360,9 +1371,7 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::Io);
 
         // Build a store with one shard and one WAL event, then recover it.
-        let root =
-            std::env::temp_dir().join(format!("comparesets_cli_recover_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TempDir::new("cli_recover").unwrap();
         let shard = root.join("main");
         let seed = CategoryPreset::Toy.config(8, 3).generate();
         let (mut store, rec) = CorpusStore::open(&shard, Some(&seed), 0, None).unwrap();
@@ -1409,7 +1418,6 @@ mod tests {
         // After --compact the WAL tail is folded in: nothing replays.
         let report = run(&["recover", "--data-dir", root.to_str().unwrap()]).unwrap();
         assert!(report.contains("replayed 0 event(s)"), "{report}");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

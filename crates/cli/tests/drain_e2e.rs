@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_data::wal::{EventKind, ReviewEvent, SNAPSHOT_FILE, WAL_FILE};
-use comparesets_data::{CategoryPreset, CorpusStore, Dataset, ProductId, ReviewId};
+use comparesets_data::{CategoryPreset, CorpusStore, Dataset, ProductId, ReviewId, TempDir};
 use comparesets_serve::{Client, IngestEvent, Request, Status};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -45,9 +45,7 @@ fn items_of(dataset: &Dataset) -> Vec<u32> {
 
 #[test]
 fn sigterm_drains_answers_in_flight_and_restarts_with_zero_replay() {
-    let root = std::env::temp_dir().join(format!("comparesets_drain_e2e_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempDir::new("drain_e2e").unwrap();
     let corpus = root.join("corpus.json");
     let status = Command::new(BIN)
         .args([
@@ -171,7 +169,6 @@ fn sigterm_drains_answers_in_flight_and_restarts_with_zero_replay() {
         "drain left WAL lag: {report}"
     );
     assert!(report.contains("dropped 0 torn byte(s)"), "{report}");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Build one `add` event consistent with `dataset`, apply it locally,
@@ -199,11 +196,7 @@ fn next_add(dataset: &mut Dataset, seq: u64, product: u32) -> ReviewEvent {
 /// recovers clean afterwards.
 #[test]
 fn recover_compact_names_both_faults_of_a_double_fault() {
-    let root = std::env::temp_dir().join(format!(
-        "comparesets_doublefault_e2e_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("doublefault_e2e").unwrap();
     let dir = root.join("corpus");
     let mut dataset = CategoryPreset::Toy.config(6, 5).generate();
     let product = dataset.products[0].id.0;
@@ -281,5 +274,4 @@ fn recover_compact_names_both_faults_of_a_double_fault() {
     assert!(!clean.contains("absorbed fault"), "{clean}");
     assert!(clean.contains("replayed 0 event(s)"), "{clean}");
     assert!(clean.contains("last seq 5"), "{clean}");
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
+use comparesets_data::TempDir;
 use std::process::{Command, Output};
 
 fn comparesets(args: &[&str]) -> Output {
@@ -14,15 +14,10 @@ fn comparesets(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("comparesets_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{}_{name}", std::process::id()))
-}
-
 #[test]
 fn corrupt_corpus_exits_with_data_code_and_readable_cause() {
-    let path = temp_path("corrupt.json");
+    let dir = TempDir::new("e2e").unwrap();
+    let path = dir.join("corrupt.json");
     std::fs::write(&path, "{\"name\": \"truncated corpus\"").unwrap();
     let out = comparesets(&["stats", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(4), "data errors exit 4");
@@ -31,7 +26,6 @@ fn corrupt_corpus_exits_with_data_code_and_readable_cause() {
     assert!(stderr.contains("error:"), "{stderr}");
     assert!(stderr.contains(path.to_str().unwrap()), "{stderr}");
     assert!(stderr.contains("json"), "{stderr}");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -62,9 +56,10 @@ fn help_exits_0_with_exit_code_table() {
 
 #[test]
 fn corrupt_convert_input_respects_error_budget() {
-    let reviews = temp_path("reviews.jsonl");
-    let meta = temp_path("meta.jsonl");
-    let out_path = temp_path("converted.json");
+    let dir = TempDir::new("e2e").unwrap();
+    let reviews = dir.join("reviews.jsonl");
+    let meta = dir.join("meta.jsonl");
+    let out_path = dir.join("converted.json");
     std::fs::write(
         &reviews,
         "{\"reviewerID\":\"A1\",\"asin\":\"B1\",\"reviewText\":\"great battery life\",\"overall\":5}\nnot json\n{\"reviewerID\":\"A2\",\"asin\":\"B1\",\"reviewText\":\"poor battery\",\"overall\":2}\n",
@@ -95,8 +90,4 @@ fn corrupt_convert_input_respects_error_budget() {
     let stdout = String::from_utf8_lossy(&lenient.stdout);
     assert!(stdout.contains("skipped 1 malformed line"), "{stdout}");
     assert!(stdout.contains("reviews line 2"), "{stdout}");
-
-    for p in [&reviews, &meta, &out_path] {
-        std::fs::remove_file(p).ok();
-    }
 }

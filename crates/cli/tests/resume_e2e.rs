@@ -36,9 +36,7 @@ fn eval_args(extra: &[&str]) -> Vec<String> {
 
 #[test]
 fn killed_and_resumed_suite_is_byte_identical() {
-    let root = std::env::temp_dir().join(format!("comparesets_resume_e2e_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = comparesets_data::TempDir::new("resume_e2e").unwrap();
     let full_out = root.join("full.txt");
     let kill_dir = root.join("kill-ckpt");
     let kill_out = root.join("resumed.txt");
@@ -113,5 +111,4 @@ fn killed_and_resumed_suite_is_byte_identical() {
         "resumed artifact differs from uninterrupted run (killed_midway={killed_midway})"
     );
     assert!(full.contains("2/2 experiments completed"), "{full}");
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -97,9 +97,7 @@ fn recovered_last_seq(data_dir: &Path) -> u64 {
 
 #[test]
 fn sigkill_mid_ingest_recovers_byte_identical_to_the_acknowledged_prefix() {
-    let root = std::env::temp_dir().join(format!("comparesets_stream_e2e_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = comparesets_data::TempDir::new("stream_e2e").unwrap();
     let corpus = root.join(format!("{SHARD}.json"));
     let status = Command::new(BIN)
         .args([
@@ -225,5 +223,4 @@ fn sigkill_mid_ingest_recovers_byte_identical_to_the_acknowledged_prefix() {
     reference_client.shutdown().unwrap();
     let _ = recovered_server.wait();
     let _ = reference_server.wait();
-    std::fs::remove_dir_all(&root).ok();
 }

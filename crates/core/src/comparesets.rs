@@ -9,9 +9,8 @@
 //!   lowers the per-item synchronized objective (lines 10–12).
 //!
 //! Every per-item regression — of CRS, of CompaReSetS, of a CompaReSetS+
-//! step, of an incremental re-selection — goes through one function,
-//! `regress_item`: memo lookup, task build, Integer-Regression, memo
-//! store.
+//! step — goes through one function, `regress_item`: memo lookup, task
+//! build, Integer-Regression, memo store.
 //!
 //! ## Execution
 //!
@@ -34,15 +33,24 @@ use crate::integer_regression::{
 use crate::objective::item_objective_and_phi;
 use crate::{SelectParams, SolveOptions, SolverMetrics};
 
-/// Run `solve` for every item of `ctx` in item order, with the item's
-/// column grouping, through one pursuit workspace.
+/// Each item's column grouping, in item order. The items are immutable
+/// for the whole solve, so one grouping serves every regression of an
+/// item: its seed, each alternation step, and each memo lookup.
+pub(crate) fn group_items(ctx: &InstanceContext) -> Vec<DedupColumns> {
+    ctx.items().iter().map(DedupColumns::build).collect()
+}
+
+/// Run `solve` for every item in item order, with the item's column
+/// grouping from `dedups`, through one pursuit workspace.
 pub(crate) fn per_item<T>(
-    ctx: &InstanceContext,
+    dedups: &[DedupColumns],
     mut solve: impl FnMut(usize, &DedupColumns, &mut NompWorkspace) -> T,
 ) -> Vec<T> {
     let mut ws = NompWorkspace::new();
-    (0..ctx.num_items())
-        .map(|i| solve(i, &DedupColumns::build(ctx.item(i)), &mut ws))
+    dedups
+        .iter()
+        .enumerate()
+        .map(|(i, dedup)| solve(i, dedup, &mut ws))
         .collect()
 }
 
@@ -133,7 +141,7 @@ pub(crate) fn or_single_review<F: Fn(&Selection) -> f64>(
 /// `μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ))`). The objective builds φ(Sᵢ) once per
 /// candidate and shares it between both terms.
 #[allow(clippy::too_many_arguments)] // one regression step plus its memo
-pub(crate) fn plus_step<'a>(
+fn plus_step<'a>(
     ctx: &'a InstanceContext,
     i: usize,
     dedup: &DedupColumns,
@@ -172,11 +180,33 @@ pub fn solve_comparesets_with(
     params: &SelectParams,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    per_item(ctx, |i, dedup, ws| {
+    seed(ctx, params, opts, &group_items(ctx), false)
+        .into_iter()
+        .map(Result::unwrap_or_default)
+        .collect()
+}
+
+/// The CompaReSetS regression of every item against `[τᵢ; λΓ]`, in item
+/// order, with the groupings `dedups`: the answer of Problem 1 and the
+/// seed of Algorithm 1. A failed regression keeps its error when `strict`
+/// (the checked contract) and otherwise degrades to the best single
+/// review (the unchecked solvers' fallback), so every slot is `Ok`.
+fn seed(
+    ctx: &InstanceContext,
+    params: &SelectParams,
+    opts: &SolveOptions,
+    dedups: &[DedupColumns],
+    strict: bool,
+) -> Vec<Result<Selection, CoreError>> {
+    per_item(dedups, |i, dedup, ws| {
         let cost = |sel: &Selection| crate::objective::item_objective(ctx, i, sel, params.lambda);
         let blocks = [(ctx.gamma(), params.lambda)];
         let solved = regress_item(ctx, i, dedup, &blocks, params.m, &cost, opts, ws, None);
-        or_single_review(solved, dedup, params.m, &cost)
+        if strict {
+            solved
+        } else {
+            Ok(or_single_review(solved, dedup, params.m, &cost))
+        }
     })
 }
 
@@ -202,11 +232,7 @@ pub fn solve_comparesets_checked(
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
     validate_params(params)?;
-    let slots = per_item(ctx, |i, dedup, ws| {
-        let cost = |sel: &Selection| crate::objective::item_objective(ctx, i, sel, params.lambda);
-        let blocks = [(ctx.gamma(), params.lambda)];
-        regress_item(ctx, i, dedup, &blocks, params.m, &cost, opts, ws, None)
-    });
+    let slots = seed(ctx, params, opts, &group_items(ctx), true);
     classify_deadline(slots, opts)
 }
 
@@ -276,27 +302,22 @@ pub fn solve_comparesets_plus_sweeps_warm_with(
         ctx.num_items(),
         "one RegressionWarm per item required"
     );
-    // Algorithm 1 input: solutions of CompaReSetS.
-    let selections = solve_comparesets_with(ctx, params, opts);
-    if ctx.num_items() <= 1 || params.mu == 0.0 {
-        // Coupling vanishes; CompaReSetS is already optimal for Eq. 5.
-        return selections;
-    }
-    let mut slots: Vec<Result<Selection, CoreError>> = selections.into_iter().map(Ok).collect();
-    alternate(ctx, params, sweeps, opts, warm, &mut slots, false);
-    // The unchecked sweeps never fail a slot.
-    slots.into_iter().map(Result::unwrap_or_default).collect()
+    // The unchecked seed and sweeps never fail a slot.
+    algorithm_1(ctx, params, sweeps, opts, warm, false)
+        .into_iter()
+        .map(Result::unwrap_or_default)
+        .collect()
 }
 
 /// Checked variant of [`solve_comparesets_plus_sweeps_with`].
 ///
-/// The CompaReSetS seed runs through [`solve_comparesets_checked`], so a
-/// degenerate item lands as `Err` in its slot and is **excluded from the
-/// coupling**: healthy items synchronise among themselves as if the failed
-/// item were absent, and the failed slots keep their per-item error. A
-/// sweep-step failure on an otherwise-seeded item degrades gracefully —
-/// the item keeps its current (valid) selection rather than erroring,
-/// matching the accept-only-if-better contract of Algorithm 1.
+/// The CompaReSetS seed is checked as in [`solve_comparesets_checked`],
+/// so a degenerate item lands as `Err` in its slot and is **excluded from
+/// the coupling**: healthy items synchronise among themselves as if the
+/// failed item were absent, and the failed slots keep their per-item
+/// error. A sweep-step failure on an otherwise-seeded item degrades
+/// gracefully — the item keeps its current (valid) selection rather than
+/// erroring, matching the accept-only-if-better contract of Algorithm 1.
 ///
 /// On well-posed inputs every slot is `Ok` and bit-identical to the
 /// unchecked solver: same seed, same sweeps, same accept decisions.
@@ -312,45 +333,45 @@ pub fn solve_comparesets_plus_checked(
     sweeps: usize,
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
-    let mut slots = solve_comparesets_checked(ctx, params, opts)?;
-    let n = ctx.num_items();
-    if n > 1 && params.mu != 0.0 {
-        let mut warm = vec![RegressionWarm::new(); n];
-        alternate(ctx, params, sweeps, opts, &mut warm, &mut slots, true);
-    }
+    validate_params(params)?;
+    let mut warm = vec![RegressionWarm::new(); ctx.num_items()];
+    let slots = algorithm_1(ctx, params, sweeps, opts, &mut warm, true);
     classify_deadline(slots, opts)
 }
 
-/// The alternating sweeps of Algorithm 1 over `slots` (one per item, in
-/// item order), shared by the unchecked and checked CompaReSetS+ solvers.
+/// Algorithm 1, shared by the unchecked and checked CompaReSetS+ solvers:
+/// the CompaReSetS seed, then the alternating sweeps, one slot per item
+/// in item order. Both phases use one grouping per item.
 ///
 /// Gauss–Seidel: item `i` regresses against the other items' *current*
 /// selections and takes the candidate only when it strictly lowers its
 /// synchronized objective. A failed slot (a checked seed error) is
-/// skipped and contributes no coupling. A failed step keeps the current
-/// selection when `strict` (the checked contract) and otherwise proposes
-/// the best single review (the unchecked solvers' fallback). With warm
-/// starts on, `warm[i]` memoizes item `i`'s regressions.
-fn alternate(
+/// skipped and contributes no coupling. A failed seed or step keeps its
+/// error or current selection when `strict` (the checked contract) and
+/// otherwise degrades to the best single review (the unchecked solvers'
+/// fallback). With warm starts on, `warm[i]` memoizes item `i`'s
+/// regressions.
+fn algorithm_1(
     ctx: &InstanceContext,
     params: &SelectParams,
     sweeps: usize,
     opts: &SolveOptions,
     warm: &mut [RegressionWarm],
-    slots: &mut [Result<Selection, CoreError>],
     strict: bool,
-) {
+) -> Vec<Result<Selection, CoreError>> {
+    let dedups = group_items(ctx);
+    let mut slots = seed(ctx, params, opts, &dedups, strict);
     let n = ctx.num_items();
+    if n <= 1 || params.mu == 0.0 {
+        // Coupling vanishes; CompaReSetS is already optimal for Eq. 5.
+        return slots;
+    }
     let metrics = opts.metrics_ref();
     let ctl = opts.ctl();
     let span = tracing::debug_span!("comparesets_plus_alternation", items = n, sweeps = sweeps);
     let _span_guard = span.enter();
     // One pursuit workspace serves every per-item step of every sweep.
     let mut ws = NompWorkspace::new();
-    // The items are immutable for the whole solve, so each one's column
-    // grouping is computed once and shared by every step's task build and
-    // memo lookup.
-    let dedups: Vec<DedupColumns> = (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect();
     // φ(Sⱼ) per healthy slot (None for failed items), refreshed only when
     // an accept changes the selection — φ is a pure function of the
     // selection, so the cache is bit-identical to recomputing per round.
@@ -405,6 +426,7 @@ fn alternate(
             }
         }
     }
+    slots
 }
 
 #[cfg(test)]

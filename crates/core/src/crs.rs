@@ -7,7 +7,9 @@
 //! with a single item and λ = 0. It shares the Integer-Regression
 //! machinery but regresses on the opinion block only.
 
-use crate::comparesets::{classify_deadline, or_single_review, per_item, regress_item};
+use crate::comparesets::{
+    classify_deadline, group_items, or_single_review, per_item, regress_item,
+};
 use crate::error::CoreError;
 use crate::instance::{InstanceContext, Selection};
 use crate::SolveOptions;
@@ -20,7 +22,7 @@ pub fn solve_crs(ctx: &InstanceContext, m: usize) -> Vec<Selection> {
 
 /// [`solve_crs`] with execution options (metrics, cancellation).
 pub fn solve_crs_with(ctx: &InstanceContext, m: usize, opts: &SolveOptions) -> Vec<Selection> {
-    per_item(ctx, |i, dedup, ws| {
+    per_item(&group_items(ctx), |i, dedup, ws| {
         let cost =
             |sel: &Selection| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices));
         let solved = regress_item(ctx, i, dedup, &[], m, &cost, opts, ws, None);
@@ -45,7 +47,7 @@ pub fn solve_crs_checked(
     if m == 0 {
         return Err(CoreError::InvalidParams("m must be at least 1"));
     }
-    let slots = per_item(ctx, |i, dedup, ws| {
+    let slots = per_item(&group_items(ctx), |i, dedup, ws| {
         let cost =
             |sel: &Selection| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices));
         regress_item(ctx, i, dedup, &[], m, &cost, opts, ws, None)

@@ -104,6 +104,10 @@ impl Selection {
 }
 
 /// A fully prepared problem instance: items plus optimisation targets.
+///
+/// A context is fixed once built; a changed corpus builds a new one. The
+/// solvers read its items as immutable for a whole solve, and the serving
+/// daemon shares one context between concurrent solves.
 #[derive(Debug, Clone)]
 pub struct InstanceContext {
     space: VectorSpace,
@@ -228,43 +232,6 @@ impl InstanceContext {
     /// Γ — the target aspect vector (φ over the target item's reviews).
     pub fn gamma(&self) -> &[f64] {
         &self.gamma
-    }
-
-    /// Append a review and refresh the derived targets (used by the
-    /// incremental-session API in [`crate::incremental`]).
-    pub(crate) fn push_review_internal(&mut self, i: usize, id: ReviewId, feature: ReviewFeature) {
-        self.items[i].review_ids.push(id);
-        self.items[i].features.push(feature);
-        self.refresh_targets(i);
-    }
-
-    /// Replace the feature of the review at position `pos` of item `i`
-    /// and refresh the derived targets.
-    pub(crate) fn edit_review_internal(&mut self, i: usize, pos: usize, feature: ReviewFeature) {
-        self.items[i].features[pos] = feature;
-        self.refresh_targets(i);
-    }
-
-    /// Remove the review at position `pos` of item `i` (shifting later
-    /// positions down by one) and refresh the derived targets.
-    pub(crate) fn remove_review_internal(&mut self, i: usize, pos: usize) {
-        self.items[i].review_ids.remove(pos);
-        self.items[i].features.remove(pos);
-        self.refresh_targets(i);
-    }
-
-    /// Recompute τᵢ (and Γ when the target item changed).
-    fn refresh_targets(&mut self, i: usize) {
-        let all: Vec<usize> = (0..self.items[i].num_reviews()).collect();
-        self.taus[i] = self.space.pi(&self.items[i], &all);
-        if i == 0 {
-            self.gamma = self.space.phi(&self.items[0], &all);
-        }
-    }
-
-    /// Position of dataset review `id` within item `i`, if present.
-    pub fn position_of(&self, i: usize, id: ReviewId) -> Option<usize> {
-        self.items[i].review_ids.iter().position(|&r| r == id)
     }
 }
 

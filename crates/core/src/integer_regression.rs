@@ -214,7 +214,7 @@ impl<'a> RegressionTask<'a> {
             .map(|group| column_entries(space, &item.features[group[0]], aspect_targets))
             .collect();
         let matrix =
-            CscMatrix::try_from_columns(target.len(), &columns).map_err(classify_build_error)?;
+            CscMatrix::try_from_columns(target.len(), columns).map_err(classify_build_error)?;
         Ok(RegressionTask {
             matrix,
             target,
@@ -490,8 +490,8 @@ struct Memo {
 /// bit is deterministic, so the memo's answer *is* what a cold solve
 /// returns, and it is served without building the design matrix, running
 /// the pursuit, or rounding anything. The item itself is not in the key:
-/// a memo belongs to one item, and whoever changes that item invalidates
-/// it (the serving daemon keys its memos on item versions).
+/// a memo belongs to one item, and a changed item is a new item (the
+/// serving daemon keys its memos on item versions).
 ///
 /// Alternating solvers hold one per item across sweeps, where a
 /// stabilised round repeats its regression verbatim; the serving daemon
@@ -508,12 +508,6 @@ impl RegressionWarm {
     /// An empty memo; fills on the first regression it is threaded into.
     pub fn new() -> Self {
         RegressionWarm::default()
-    }
-
-    /// Forget the memoized answer; call when the item behind this memo
-    /// changed.
-    pub fn invalidate(&mut self) {
-        self.memo = None;
     }
 
     /// Heap bytes the memo holds (vector capacities); 0 when empty. The

@@ -49,7 +49,6 @@ pub mod comparison_table;
 pub mod crs;
 pub mod error;
 pub mod exhaustive;
-pub mod incremental;
 pub mod instance;
 pub mod integer_regression;
 pub mod objective;
@@ -66,7 +65,6 @@ pub use comparison_table::{AspectRow, CellCounts, ComparisonTable};
 pub use crs::{solve_crs, solve_crs_checked, solve_crs_with};
 pub use error::CoreError;
 pub use exhaustive::{solve_exhaustive, solve_exhaustive_item};
-pub use incremental::{IncrementalSession, SessionEvent};
 pub use instance::{InstanceContext, Item, ReviewFeature, Selection};
 pub use integer_regression::{integer_regression, DedupColumns, RegressionTask, RegressionWarm};
 pub use objective::{

@@ -194,27 +194,3 @@ fn expiry_is_classified_and_counted() {
         Err(CoreError::DeadlineExceeded { .. })
     ));
 }
-
-#[test]
-fn incremental_session_with_fired_token_keeps_valid_selections() {
-    use comparesets_core::IncrementalSession;
-    use comparesets_data::ReviewId;
-
-    let ctx = context();
-    let token = Arc::new(CancelToken::new());
-    let opts = SolveOptions::sequential().with_cancel(Arc::clone(&token));
-    let mut session = IncrementalSession::with_options(ctx, params(), opts);
-    let before = session.selections().to_vec();
-    token.cancel();
-    // Updates under a fired token keep the previous (still valid)
-    // selections instead of degrading them.
-    session.add_review(
-        1,
-        ReviewId(900_500),
-        comparesets_core::ReviewFeature::new(vec![(0, comparesets_data::Polarity::Positive)]),
-    );
-    assert_eq!(session.selections(), &before[..]);
-    let obj_before = session.objective();
-    session.refresh();
-    assert!(session.objective() <= obj_before + 1e-9);
-}

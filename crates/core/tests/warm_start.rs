@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use comparesets_core::{
     solve_comparesets_plus_checked, solve_comparesets_plus_sweeps_warm_with,
-    solve_comparesets_plus_sweeps_with, IncrementalSession, InstanceContext, Item, OpinionScheme,
-    RegressionWarm, ReviewFeature, SelectParams, Selection, SolveOptions, SolverMetrics,
+    solve_comparesets_plus_sweeps_with, InstanceContext, Item, OpinionScheme, RegressionWarm,
+    SelectParams, Selection, SolveOptions, SolverMetrics,
 };
 use comparesets_data::{CategoryPreset, Polarity, ProductId, ReviewId};
 use rand::{Rng, SeedableRng};
@@ -74,37 +74,6 @@ fn checked_warm_sweeps_select_identically_to_cold_sweeps() {
             assert_eq!(warm, coldsel, "checked sweeps={sweeps} drifted");
         }
     }
-}
-
-#[test]
-fn incremental_session_with_warm_starts_matches_cold_session() {
-    let ctx = contexts().into_iter().next().unwrap();
-    let params = SelectParams::default();
-    let mut warm = IncrementalSession::with_options(ctx.clone(), params, SolveOptions::default());
-    let mut coldsess = IncrementalSession::with_options(ctx, params, cold());
-    assert_eq!(warm.selections(), coldsess.selections());
-
-    for k in 0..6u32 {
-        let item = (k % 3) as usize;
-        let id = ReviewId(800_000 + k);
-        let pol = if k % 2 == 0 {
-            Polarity::Positive
-        } else {
-            Polarity::Negative
-        };
-        let feature = ReviewFeature::new(vec![((k % 4) as usize, pol)]);
-        warm.add_review(item, id, feature.clone());
-        coldsess.add_review(item, id, feature);
-        assert_eq!(
-            warm.selections(),
-            coldsess.selections(),
-            "selections drifted after ingest #{k}"
-        );
-    }
-
-    warm.refresh();
-    coldsess.refresh();
-    assert_eq!(warm.selections(), coldsess.selections());
 }
 
 #[test]

@@ -446,13 +446,6 @@ mod tests {
     use super::*;
     use crate::synth::CategoryPreset;
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("comparesets_fault_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn same_seed_same_schedule() {
         let a = FaultPlane::from_seed(7);
@@ -507,7 +500,8 @@ mod tests {
     #[test]
     fn fault_schedules_hold_the_invariant() {
         let seed_ds = CategoryPreset::Toy.config(6, 5).generate();
-        let dir = temp_dir("sched");
+        let tmp = crate::io::TempDir::new("fault_sched").unwrap();
+        let dir = tmp.join("store");
         for seed in 0..25u64 {
             let out = run_fault_schedule(&dir, &seed_ds, seed, &FaultProfile::chaos())
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -518,7 +512,8 @@ mod tests {
     #[test]
     fn quiet_schedules_never_fail_appends() {
         let seed_ds = CategoryPreset::Toy.config(6, 5).generate();
-        let dir = temp_dir("quiet");
+        let tmp = crate::io::TempDir::new("fault_quiet").unwrap();
+        let dir = tmp.join("store");
         for seed in 0..5u64 {
             let out = run_fault_schedule(&dir, &seed_ds, seed, &FaultProfile::quiet())
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

@@ -10,7 +10,8 @@ use crate::retry::{RetryPolicy, RetryReader};
 use comparesets_obs::SolverMetrics;
 use std::fs::{self, File};
 use std::io::{BufReader, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Is this error the fatal disk class — `ENOSPC` (no space) or `EROFS`
@@ -247,6 +248,60 @@ pub fn load_retrying(
     }
 }
 
+/// A scratch directory under [`std::env::temp_dir`], removed with
+/// everything in it on drop.
+///
+/// Its name carries the tag, the process id and a process-wide counter,
+/// so the threads of one test binary never share a directory, and two
+/// processes never do either.
+#[derive(Debug)]
+pub struct TempDir {
+    path: PathBuf,
+}
+
+impl TempDir {
+    /// Create `comparesets_<tag>_<pid>_<n>` under the system temp
+    /// directory. A directory of that name left by an earlier process
+    /// with the same id is removed first.
+    ///
+    /// # Errors
+    /// The directory could not be created.
+    pub fn new(tag: &str) -> std::io::Result<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("comparesets_{tag}_{}_{n}", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let _ = fs::remove_dir_all(&path);
+        fs::create_dir_all(&path)?;
+        Ok(TempDir { path })
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -267,22 +322,32 @@ mod tests {
     }
 
     #[test]
+    fn temp_dirs_are_distinct_and_removed_on_drop() {
+        let a = TempDir::new("io_tempdir").unwrap();
+        let b = TempDir::new("io_tempdir").unwrap();
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().is_dir() && b.path().is_dir());
+        std::fs::write(a.join("file"), b"x").unwrap();
+        let path = a.path().to_path_buf();
+        drop(a);
+        assert!(!path.exists());
+        assert!(b.path().is_dir());
+    }
+
+    #[test]
     fn file_round_trip() {
         let d = CategoryPreset::Clothing.config(10, 5).generate();
-        let dir = std::env::temp_dir().join("comparesets_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("ds.json");
         save(&d, &path).unwrap();
         let back = load(&path).unwrap();
         assert_eq!(back.reviews.len(), d.reviews.len());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn retrying_load_round_trips_and_counts_nothing_on_a_healthy_file() {
         let d = CategoryPreset::Toy.config(10, 9).generate();
-        let dir = std::env::temp_dir().join("comparesets_io_retry_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io_retry").unwrap();
         let path = dir.join("ds.json");
         save(&d, &path).unwrap();
         let metrics = Arc::new(SolverMetrics::new());
@@ -294,32 +359,26 @@ mod tests {
         .unwrap();
         assert_eq!(back.reviews.len(), d.reviews.len());
         assert_eq!(metrics.snapshot().io_retries, 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn atomic_save_leaves_no_temp_files() {
         let d = CategoryPreset::Toy.config(5, 3).generate();
-        let dir = std::env::temp_dir().join("comparesets_io_atomic_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io_atomic").unwrap();
         let path = dir.join("ds.json");
         save(&d, &path).unwrap();
         save(&d, &path).unwrap(); // overwrite path also atomic
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .filter(|n| n.to_string_lossy().contains(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "temp litter: {leftovers:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn write_atomic_survives_overwrite_and_reports_missing_parent() {
-        let dir = std::env::temp_dir().join("comparesets_io_durable_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io_durable").unwrap();
         let path = dir.join("blob.json");
         write_atomic(&path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
@@ -331,14 +390,11 @@ mod tests {
         // (before any rename) instead of fsync-ing a phantom directory.
         let bad = dir.join("missing").join("blob.json");
         assert!(write_atomic(&bad, b"x").is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn faulted_atomic_write_never_tears_the_destination() {
-        let dir = std::env::temp_dir().join("comparesets_io_fault_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io_fault").unwrap();
         let path = dir.join("blob.json");
         write_atomic(&path, b"baseline").unwrap();
         let plane = FaultPlane::from_seed(0xBAD_5EED);
@@ -361,13 +417,12 @@ mod tests {
             }
         }
         assert!(failures > 0, "plane never fired");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .filter(|n| n.to_string_lossy().contains(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "temp litter: {leftovers:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   metric relies on.
 //! * [`templates`] — the sentence templates used by the generator.
 //! * [`stats`] — dataset statistics (regenerates Table 2's rows).
-//! * [`io`] — JSON (de)serialisation for reproducible corpora on disk.
+//! * [`io`] — JSON (de)serialisation for reproducible corpora on disk,
+//!   atomic writes, and the self-removing [`TempDir`].
 //! * [`wal`] — the durable streaming store: a CRC-framed write-ahead
 //!   log of review events plus atomic snapshots, with torn-tail
 //!   recovery and log compaction (ARCHITECTURE.md §11).
@@ -39,6 +40,7 @@ pub mod wal;
 
 pub use amazon::{AmazonError, AmazonLoader, SkippedLines};
 pub use fault::{run_fault_schedule, FaultAction, FaultPlane, FaultProfile, IoOp, ScheduleOutcome};
+pub use io::TempDir;
 pub use model::{
     AspectId, AspectMention, ComparisonInstance, Dataset, Polarity, Product, ProductId, Review,
     ReviewId,

@@ -946,6 +946,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::io::TempDir;
     use crate::model::AspectId;
     use crate::synth::CategoryPreset;
     use crate::Polarity;
@@ -970,12 +971,8 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("comparesets_wal_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn temp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("wal_{tag}")).unwrap()
     }
 
     #[test]
@@ -1050,7 +1047,6 @@ mod tests {
             serde_json::to_string(&rec2.dataset).unwrap(),
             serde_json::to_string(&live).unwrap()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1079,7 +1075,6 @@ mod tests {
             serde_json::to_string(&rec2.dataset).unwrap(),
             serde_json::to_string(&live).unwrap()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1106,7 +1101,6 @@ mod tests {
         assert_eq!(rec2.truncated_bytes, 3);
         // The reopened store truncated the tail to a clean boundary.
         assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), clean_len);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1135,7 +1129,6 @@ mod tests {
         assert_eq!(scan.valid_len, offsets[2]);
         let rec2 = recover(&dir, None).unwrap();
         assert_eq!(rec2.replayed, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1159,7 +1152,6 @@ mod tests {
         let fresh = Arc::new(SolverMetrics::new());
         let _ = CorpusStore::open(&dir, None, 0, Some(Arc::clone(&fresh))).unwrap();
         assert_eq!(fresh.snapshot().recovery_replayed_records, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1173,12 +1165,11 @@ mod tests {
             recover(&dir, None),
             Err(WalError::NothingToRecover(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Build a store with two snapshot generations on disk: primary at
     /// seq 6, previous at seq 3, WAL holding records 4..=7.
-    fn two_generation_store(tag: &str) -> (PathBuf, Dataset) {
+    fn two_generation_store(tag: &str) -> (TempDir, Dataset) {
         let dir = temp_dir(tag);
         let seed = base();
         let (mut store, rec) = CorpusStore::open(&dir, Some(&seed), 3, None).unwrap();
@@ -1222,7 +1213,6 @@ mod tests {
         assert_eq!(rec3.snapshot_seq, 7);
         assert_eq!(rec3.replayed, 0);
         assert!(rec3.faults.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1251,7 +1241,6 @@ mod tests {
             serde_json::to_string(&rec.dataset).unwrap(),
             serde_json::to_string(&live).unwrap()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1266,7 +1255,6 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1295,7 +1283,6 @@ mod tests {
             assert_eq!(read(SNAPSHOT_PREV_FILE), good_prev);
             assert_eq!(read(SNAPSHOT_FILE), primary, "re-sealed the same state");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1311,7 +1298,6 @@ mod tests {
             serde_json::to_string(&rec.dataset).unwrap(),
             serde_json::to_string(&live).unwrap()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1347,7 +1333,6 @@ mod tests {
         assert_eq!(scan.events.len(), 1);
         assert_eq!(scan.events[0].seq, ev.seq);
         assert_eq!(scan.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1381,7 +1366,6 @@ mod tests {
         assert_eq!(rec2.last_seq, 0);
         let ev = add_event(&rec2.dataset, store2.next_seq(), 0, 0);
         store2.append(std::slice::from_ref(&ev)).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1412,7 +1396,6 @@ mod tests {
         // The surviving prefix is untouched.
         assert_eq!(scan.events[..], clean.events[..scan.events.len()]);
         assert_eq!(plane.injected(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1433,6 +1416,5 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.wal_appends, 4);
         assert_eq!(snap.wal_fsyncs, 1, "one fsync acknowledges the batch");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,21 +10,9 @@
 use comparesets_data::wal::{scan_wal, WAL_FILE};
 use comparesets_data::{
     AspectId, AspectMention, CategoryPreset, CorpusStore, Dataset, EventKind, Polarity, ProductId,
-    ReviewEvent, ReviewId,
+    ReviewEvent, ReviewId, TempDir,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "comparesets_walprop_{tag}_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn add_event(d: &Dataset, seq: u64, product: u32) -> ReviewEvent {
     ReviewEvent {
@@ -48,8 +36,8 @@ fn add_event(d: &Dataset, seq: u64, product: u32) -> ReviewEvent {
 
 /// Build a store with `n` appended events; returns (dir, per-record end
 /// offsets, live dataset states after each event).
-fn populated_store(tag: &str, n: u64) -> (PathBuf, Vec<u64>, Vec<Dataset>) {
-    let dir = temp_dir(tag);
+fn populated_store(tag: &str, n: u64) -> (TempDir, Vec<u64>, Vec<Dataset>) {
+    let dir = TempDir::new(&format!("walprop_{tag}")).unwrap();
     let seed = CategoryPreset::Toy.config(8, 3).generate();
     let (mut store, rec) = CorpusStore::open(&dir, Some(&seed), 0, None).unwrap();
     let mut live = rec.dataset;
@@ -109,7 +97,6 @@ proptest! {
             serde_json::to_string(&rec2.dataset).unwrap(),
             serde_json::to_string(&live).unwrap()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -135,6 +122,5 @@ proptest! {
             serde_json::to_string(&rec.dataset).unwrap(),
             serde_json::to_string(&states[rec.replayed as usize]).unwrap()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

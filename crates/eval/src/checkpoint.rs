@@ -217,12 +217,10 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use comparesets_data::TempDir;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("comparesets-ckpt-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("ckpt_{tag}")).unwrap()
     }
 
     fn record(name: &str) -> ExperimentRecord {
@@ -238,7 +236,6 @@ mod tests {
     #[test]
     fn write_atomic_replaces_contents_and_leaves_no_temp_files() {
         let dir = tmpdir("atomic");
-        fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.txt");
         write_atomic(&path, b"first").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first");
@@ -250,18 +247,19 @@ mod tests {
             .filter(|n| n.to_string_lossy().contains(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "temp litter: {leftovers:?}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn load_is_fresh_without_a_checkpoint() {
-        let store = CheckpointStore::new(tmpdir("fresh"));
+        let dir = tmpdir("fresh");
+        let store = CheckpointStore::new(dir.path());
         assert_eq!(store.load("cfg", "code").unwrap(), Resume::Fresh);
     }
 
     #[test]
     fn save_then_load_round_trips() {
-        let store = CheckpointStore::new(tmpdir("roundtrip"));
+        let dir = tmpdir("roundtrip");
+        let store = CheckpointStore::new(dir.path());
         let mut ckpt = SuiteCheckpoint::empty("cfg".into(), "code".into());
         ckpt.experiments.push(record("table2"));
         store.save(&ckpt).unwrap();
@@ -269,12 +267,12 @@ mod tests {
             Resume::Valid(loaded) => assert_eq!(loaded, ckpt),
             other => panic!("expected Valid, got {other:?}"),
         }
-        fs::remove_dir_all(store.path().parent().unwrap()).unwrap();
     }
 
     #[test]
     fn mismatched_fingerprints_are_stale_not_fatal() {
-        let store = CheckpointStore::new(tmpdir("stale"));
+        let dir = tmpdir("stale");
+        let store = CheckpointStore::new(dir.path());
         let ckpt = SuiteCheckpoint::empty("cfg-a".into(), "code-a".into());
         store.save(&ckpt).unwrap();
         assert!(matches!(
@@ -291,7 +289,6 @@ mod tests {
             store.load("cfg-a", "code-a").unwrap(),
             Resume::Stale { .. }
         ));
-        fs::remove_dir_all(store.path().parent().unwrap()).unwrap();
     }
 
     #[test]

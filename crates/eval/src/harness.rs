@@ -484,10 +484,8 @@ mod tests {
     fn checkpointed_resume_skips_completed_experiments_and_matches_stable_render() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let dir =
-            std::env::temp_dir().join(format!("comparesets-harness-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir);
+        let dir = comparesets_data::TempDir::new("harness_ckpt").unwrap();
+        let store = CheckpointStore::new(dir.path());
         let cfg = EvalConfig::tiny();
 
         static RUNS_A: AtomicUsize = AtomicUsize::new(0);
@@ -526,18 +524,12 @@ mod tests {
         assert_eq!(RUNS_A.load(Ordering::SeqCst), 2);
         assert_eq!(RUNS_B.load(Ordering::SeqCst), 2);
         assert_eq!(full.render_stable(), fresh.render_stable());
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpointed_run_skips_persisting_under_a_fired_deadline() {
-        let dir = std::env::temp_dir().join(format!(
-            "comparesets-harness-deadline-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir);
+        let dir = comparesets_data::TempDir::new("harness_deadline").unwrap();
+        let store = CheckpointStore::new(dir.path());
         let mut cfg = EvalConfig::tiny();
         let token = Arc::new(CancelToken::new());
         token.cancel();
@@ -554,7 +546,6 @@ mod tests {
             !store.path().exists(),
             "deadline-degraded output must not be checkpointed"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Scalability experiment (§4.1.1's parallelism claim).
+//! Scalability experiment (§4.1.1's independence claim).
 //!
 //! "Solving multiple target items can be done in parallel. A larger
 //! dataset … does not necessarily mean that the problem is more difficult
 //! to solve, as we apply our solution to every problem instance, not the
-//! whole dataset at once." This experiment quantifies both halves:
+//! whole dataset at once." This experiment measures the second half:
+//! the mean per-instance cost of the full CompaReSetS+ pipeline at growing
+//! corpus sizes, which must stay flat.
 //!
-//! * throughput (instances/second of the full CompaReSetS+ pipeline) at
-//!   growing corpus sizes — per-instance cost must stay flat;
-//! * the parallel speedup from solving instances concurrently with rayon
-//!   (≈ min(cores, instances); on a single-core machine this is ≈ 1.0 by
-//!   construction — the experiment reports whatever the host provides).
+//! It measures no parallel speedup. The vendored rayon stand-in runs
+//! `par_iter` sequentially (`third_party/rayon`), so a parallel pass would
+//! time the same sequential solve a second time on any host.
 
 use comparesets_core::{solve_comparesets_plus, SelectParams};
 use comparesets_data::CategoryPreset;
@@ -29,15 +29,16 @@ pub struct ScalingRow {
     pub products: usize,
     /// Instances solved.
     pub instances: usize,
-    /// Mean per-instance solve time (ms), sequential.
+    /// Mean per-instance solve time (ms).
     pub ms_per_instance: f64,
-    /// Wall-clock speedup of the rayon-parallel run over sequential.
-    pub parallel_speedup: f64,
 }
 
 /// Results of the sweep.
 #[derive(Debug, Clone)]
 pub struct Scaling {
+    /// The review budget every instance was solved with (the config's
+    /// first `ms` entry).
+    pub m: usize,
     /// One row per corpus size.
     pub rows: Vec<ScalingRow>,
 }
@@ -59,57 +60,35 @@ pub fn run(cfg: &EvalConfig) -> Scaling {
             };
             let dataset = dataset_for(CategoryPreset::Cellphone, &size_cfg);
             let instances = prepare_instances(&dataset, &size_cfg);
-
-            // Sequential pass.
             let start = Instant::now();
             for inst in &instances {
                 let _ = solve_comparesets_plus(&inst.ctx, &params);
             }
-            let sequential = start.elapsed().as_secs_f64();
-
-            // Parallel pass (rayon default pool).
-            use rayon::prelude::*;
-            let start = Instant::now();
-            instances.par_iter().for_each(|inst| {
-                let _ = solve_comparesets_plus(&inst.ctx, &params);
-            });
-            let parallel = start.elapsed().as_secs_f64();
-
             ScalingRow {
                 products,
                 instances: instances.len(),
-                ms_per_instance: sequential * 1000.0 / instances.len().max(1) as f64,
-                parallel_speedup: if parallel > 0.0 {
-                    sequential / parallel
-                } else {
-                    1.0
-                },
+                ms_per_instance: start.elapsed().as_secs_f64() * 1000.0
+                    / instances.len().max(1) as f64,
             }
         })
         .collect();
-    Scaling { rows }
+    Scaling { m: params.m, rows }
 }
 
 impl Scaling {
     /// Render the sweep table.
     pub fn render(&self) -> String {
-        let mut t = Table::new([
-            "#Products",
-            "#Instances",
-            "ms/instance (sequential)",
-            "parallel speedup",
-        ]);
+        let mut t = Table::new(["#Products", "#Instances", "ms/instance"]);
         for r in &self.rows {
             t.row([
                 r.products.to_string(),
                 r.instances.to_string(),
                 format!("{:.2}", r.ms_per_instance),
-                format!("{:.2}x", r.parallel_speedup),
             ]);
         }
         format!(
             "Scalability: per-instance cost vs corpus size (Cellphone, m = {})\n\n{}",
-            3, // header value; the actual m comes from config at run time
+            self.m,
             t.render()
         )
     }
@@ -140,5 +119,15 @@ mod tests {
             "per-instance cost grew {first} -> {last}"
         );
         assert!(s.render().contains("Scalability"));
+    }
+
+    #[test]
+    fn header_names_the_configured_budget() {
+        let mut cfg = EvalConfig::tiny();
+        cfg.ms = vec![5];
+        cfg.max_instances = 2;
+        let rendered = run(&cfg).render();
+        let header = rendered.lines().next().unwrap();
+        assert!(header.ends_with("(Cellphone, m = 5)"), "{header}");
     }
 }

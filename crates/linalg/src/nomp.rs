@@ -657,7 +657,7 @@ mod tests {
             assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
         }
         // Sparse design matrices are scanned through the same norm pass.
-        let bad = CscMatrix::from_columns(2, &[vec![(0, f64::INFINITY)], vec![(1, 1.0)]]);
+        let bad = CscMatrix::from_columns(2, vec![vec![(0, f64::INFINITY)], vec![(1, 1.0)]]);
         assert!(matches!(
             nomp(&bad, &[1.0, 1.0], opts(1)),
             Err(LinalgError::NonFinite { .. })

@@ -143,12 +143,14 @@ pub struct CscMatrix {
 
 impl CscMatrix {
     /// Build from per-column `(row, value)` entry lists. Entries within a
-    /// column may be unordered; duplicate rows are summed.
+    /// column may be unordered; duplicate rows are summed in list order.
+    /// Each list is sorted in place, so a list already in row order costs
+    /// one linear pass.
     ///
     /// # Panics
     /// Panics on out-of-range row indices. Use [`CscMatrix::try_from_columns`]
     /// for a fallible variant.
-    pub fn from_columns(rows: usize, columns: &[Vec<(usize, f64)>]) -> Self {
+    pub fn from_columns(rows: usize, columns: Vec<Vec<(usize, f64)>>) -> Self {
         match Self::try_from_columns(rows, columns) {
             Ok(m) => m,
             Err(e) => panic!("CscMatrix::from_columns: row index out of range: {e}"),
@@ -162,18 +164,18 @@ impl CscMatrix {
     /// of range for the declared row count.
     pub fn try_from_columns(
         rows: usize,
-        columns: &[Vec<(usize, f64)>],
+        columns: Vec<Vec<(usize, f64)>>,
     ) -> Result<Self, LinalgError> {
         let cols = columns.len();
         let mut col_ptr = Vec::with_capacity(cols + 1);
         let mut row_idx: Vec<usize> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         col_ptr.push(0);
-        for entries in columns {
-            let mut sorted: Vec<(usize, f64)> = entries.clone();
-            sorted.sort_by_key(|&(r, _)| r);
+        for mut entries in columns {
+            // Stable, so duplicate rows keep their list order for the sum.
+            entries.sort_by_key(|&(r, _)| r);
             let mut last_row = usize::MAX;
-            for &(r, v) in &sorted {
+            for &(r, v) in &entries {
                 if r >= rows {
                     return Err(LinalgError::DimensionMismatch {
                         context: "CscMatrix::try_from_columns (row index out of range)",
@@ -224,7 +226,7 @@ impl CscMatrix {
                     .collect()
             })
             .collect();
-        CscMatrix::from_columns(dense.rows(), &columns)
+        CscMatrix::from_columns(dense.rows(), columns)
     }
 
     /// Number of stored non-zeros.
@@ -243,8 +245,7 @@ impl CscMatrix {
     }
 
     /// Resident heap + inline bytes of this matrix (capacities, not
-    /// lengths — this is what the allocator actually holds). Reported per
-    /// shard by the serving daemon's `health` op.
+    /// lengths — this is what the allocator actually holds).
     pub fn memory_bytes(&self) -> u64 {
         (std::mem::size_of::<Self>()
             + self.col_ptr.capacity() * std::mem::size_of::<usize>()
@@ -442,14 +443,25 @@ mod tests {
 
     #[test]
     fn duplicate_entries_are_summed() {
-        let s = CscMatrix::from_columns(2, &[vec![(0, 1.0), (0, 2.0), (1, 3.0)]]);
+        let s = CscMatrix::from_columns(2, vec![vec![(0, 1.0), (0, 2.0), (1, 3.0)]]);
         assert_eq!(s.get(0, 0), 3.0);
         assert_eq!(s.nnz(), 2);
     }
 
     #[test]
+    fn unordered_entries_are_sorted_into_rows() {
+        let s = CscMatrix::from_columns(3, vec![vec![(2, 1.0), (0, 2.0), (2, 4.0), (1, 3.0)]]);
+        assert_eq!(s.nnz(), 3);
+        assert_eq!((s.get(0, 0), s.get(1, 0), s.get(2, 0)), (2.0, 3.0, 5.0));
+        assert_eq!(
+            s,
+            CscMatrix::from_columns(3, vec![vec![(0, 2.0), (1, 3.0), (2, 5.0)]])
+        );
+    }
+
+    #[test]
     fn zero_values_are_dropped() {
-        let s = CscMatrix::from_columns(2, &[vec![(0, 0.0), (1, 1.0)]]);
+        let s = CscMatrix::from_columns(2, vec![vec![(0, 0.0), (1, 1.0)]]);
         assert_eq!(s.nnz(), 1);
     }
 
@@ -463,22 +475,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_row_panics() {
-        let _ = CscMatrix::from_columns(2, &[vec![(5, 1.0)]]);
+        let _ = CscMatrix::from_columns(2, vec![vec![(5, 1.0)]]);
     }
 
     #[test]
     fn try_from_columns_classifies_out_of_range() {
-        let r = CscMatrix::try_from_columns(2, &[vec![(5, 1.0)]]);
+        let r = CscMatrix::try_from_columns(2, vec![vec![(5, 1.0)]]);
         assert!(matches!(r, Err(LinalgError::DimensionMismatch { .. })));
-        let ok = CscMatrix::try_from_columns(2, &[vec![(1, 1.0)]]).unwrap();
+        let ok = CscMatrix::try_from_columns(2, vec![vec![(1, 1.0)]]).unwrap();
         assert_eq!(ok.nnz(), 1);
     }
 
     #[test]
     fn is_finite_flags_stored_values() {
-        let s = CscMatrix::from_columns(2, &[vec![(0, 1.0)]]);
+        let s = CscMatrix::from_columns(2, vec![vec![(0, 1.0)]]);
         assert!(s.is_finite());
-        let bad = CscMatrix::from_columns(2, &[vec![(0, f64::NAN)]]);
+        let bad = CscMatrix::from_columns(2, vec![vec![(0, f64::NAN)]]);
         assert!(!bad.is_finite());
     }
 
@@ -501,7 +513,7 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let s = CscMatrix::from_columns(3, &[]);
+        let s = CscMatrix::from_columns(3, vec![]);
         assert_eq!(s.cols(), 0);
         assert_eq!(s.nnz(), 0);
         let y = DesignMatrix::matvec(&s, &[]).unwrap();
@@ -523,7 +535,7 @@ mod tests {
     fn density_and_memory_bytes() {
         let s = CscMatrix::from_dense(&sample_dense(), 0.0);
         assert!((s.density() - 5.0 / 9.0).abs() < 1e-15);
-        assert_eq!(CscMatrix::from_columns(3, &[]).density(), 0.0);
+        assert_eq!(CscMatrix::from_columns(3, vec![]).density(), 0.0);
         // 5 stored values + 5 row indices + 4 col_ptr entries at least.
         assert!(s.memory_bytes() >= (5 * 8 + 5 * 8 + 4 * 8) as u64);
         // Denser storage costs more bytes.

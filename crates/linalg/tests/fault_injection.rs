@@ -140,7 +140,7 @@ fn every_entry_point_classifies_non_finite_rhs() {
 #[test]
 fn sparse_design_matrices_are_scanned_too() {
     for bad in specials() {
-        let s = CscMatrix::from_columns(3, &[vec![(0, 1.0)], vec![(1, bad)], vec![(2, 2.0)]]);
+        let s = CscMatrix::from_columns(3, vec![vec![(0, 1.0)], vec![(1, bad)], vec![(2, 2.0)]]);
         assert!(!s.is_finite());
         let r = nomp(&s, &[1.0, 1.0, 1.0], NompOptions::with_max_atoms(2));
         assert!(matches!(r, Err(SolveError::NonFinite { .. })));
@@ -241,7 +241,7 @@ fn shape_faults_classify_as_dimension_mismatch() {
         Err(SolveError::DimensionMismatch { .. })
     ));
     assert!(matches!(
-        CscMatrix::try_from_columns(2, &[vec![(7, 1.0)]]),
+        CscMatrix::try_from_columns(2, vec![vec![(7, 1.0)]]),
         Err(SolveError::DimensionMismatch { .. })
     ));
 }

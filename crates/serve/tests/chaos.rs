@@ -18,12 +18,11 @@
 
 use comparesets_core::SolverMetrics;
 use comparesets_data::wal;
-use comparesets_data::{run_fault_schedule, CategoryPreset, Dataset, FaultProfile};
+use comparesets_data::{run_fault_schedule, CategoryPreset, Dataset, FaultProfile, TempDir};
 use comparesets_serve::{
     request_drain, Client, IngestEvent, Request, Server, ServerConfig, Status,
 };
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,14 +41,8 @@ fn items_of(dataset: &Dataset) -> Vec<u32> {
     inst.items.iter().map(|p| p.0).collect()
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "comparesets_chaos_{tag}_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("chaos_{tag}")).unwrap()
 }
 
 fn spawn(
@@ -94,7 +87,6 @@ fn seeded_fault_schedules_never_lose_an_acked_event() {
     assert!(outcomes.0 > 100, "too few faults injected: {outcomes:?}");
     assert!(outcomes.1 > 20, "too few crashes simulated: {outcomes:?}");
     assert!(outcomes.2 > 200, "too few events acked: {outcomes:?}");
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Invariants 1 + 2, serve plane: cycles of concurrent ingest + solve,
@@ -111,7 +103,7 @@ fn ingest_solve_restart_cycles_preserve_acked_state() {
 
     for cycle in 0u32..3 {
         let config = ServerConfig {
-            data_dir: Some(dir.clone()),
+            data_dir: Some(dir.to_path_buf()),
             ..ServerConfig::default()
         };
         let (addr, handle, _metrics) = spawn(dataset.clone(), config);
@@ -186,7 +178,6 @@ fn ingest_solve_restart_cycles_preserve_acked_state() {
         );
         assert_eq!(recovery.truncated_bytes, 0);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Invariant 3 + drain semantics, end to end in one test (the drain flag
@@ -204,7 +195,7 @@ fn drain_answers_in_flight_refuses_new_work_and_snapshots() {
     let dataset = corpus();
     let items = items_of(&dataset);
     let config = ServerConfig {
-        data_dir: Some(dir.clone()),
+        data_dir: Some(dir.to_path_buf()),
         drain_deadline: Duration::from_secs(1),
         ..ServerConfig::default()
     };
@@ -299,7 +290,6 @@ fn drain_answers_in_flight_refuses_new_work_and_snapshots() {
     assert_eq!(recovery.replayed, 0, "drain shutdown left WAL lag");
     assert_eq!(recovery.truncated_bytes, 0);
     assert!(recovery.snapshot_seq >= ack.last_seq.unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Invariant 3, steady state: a client deadline bounds the handler even

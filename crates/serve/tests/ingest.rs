@@ -11,13 +11,12 @@ use comparesets_core::{
 use comparesets_data::wal::{EventKind, ReviewEvent};
 use comparesets_data::{
     AspectId, AspectMention, CategoryPreset, ComparisonInstance, Dataset, Polarity, ProductId,
-    ReviewId,
+    ReviewId, TempDir,
 };
 use comparesets_serve::{
     Client, IngestEvent, ItemSelection, Request, Server, ServerConfig, Status,
 };
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 fn corpus() -> Dataset {
@@ -27,16 +26,6 @@ fn corpus() -> Dataset {
 fn items_of(dataset: &Dataset) -> Vec<u32> {
     let inst = dataset.instances().into_iter().next().unwrap().truncated(3);
     inst.items.iter().map(|p| p.0).collect()
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "comparesets_ingest_{tag}_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn spawn(
@@ -325,10 +314,10 @@ fn restarting_from_the_data_dir_resumes_every_acknowledged_ingest() {
     let dataset = corpus();
     let items = items_of(&dataset);
     let target = items[0];
-    let dir = temp_dir("restart");
+    let dir = TempDir::new("ingest_restart").unwrap();
 
     let config = ServerConfig {
-        data_dir: Some(dir.clone()),
+        data_dir: Some(dir.join("data")),
         snapshot_every: 2, // force a snapshot + compaction mid-run
         ..ServerConfig::default()
     };
@@ -374,5 +363,4 @@ fn restarting_from_the_data_dir_resumes_every_acknowledged_ingest() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -18,8 +18,22 @@ clippy:
 build:
     cargo build --workspace --release
 
+# Compile first, then run every test against a fresh TMPDIR and fail if
+# anything is left in it: a test works in a comparesets_data::TempDir,
+# which removes itself on drop (mirrors the "Tests" CI step).
 test:
-    cargo test --workspace -q
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo test --workspace --no-run
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    TMPDIR="$tmp" cargo test --workspace -q
+    leftovers=$(ls -A "$tmp")
+    if [ -n "$leftovers" ]; then
+        echo "tests left files in TMPDIR: $leftovers" >&2
+        exit 1
+    fi
+    echo "test ok: TMPDIR left clean"
 
 doctest:
     cargo test --workspace --doc -q

@@ -72,50 +72,94 @@ fn full_pipeline_to_comparison_table_and_summaries() {
     }
 }
 
+/// A live corpus is served by folding each `ReviewEvent` into the
+/// dataset and solving a context rebuilt from it: after every add, edit
+/// and delete, the context reflects the event and every selection is a
+/// valid subset of its item's listed reviews.
 #[test]
 fn streaming_session_stays_consistent_over_many_arrivals() {
-    use comparesets::core::{IncrementalSession, ReviewFeature};
-    use comparesets::data::{Polarity, ReviewId};
+    use comparesets::core::{comparesets_plus_objective, ReviewFeature};
+    use comparesets::data::{AspectId, AspectMention, EventKind, Polarity, ReviewEvent, ReviewId};
 
-    let dataset = CategoryPreset::Toy.config(80, 9).generate();
+    let mut dataset = CategoryPreset::Toy.config(80, 9).generate();
     let instance = dataset
         .instances()
         .into_iter()
         .find(|i| i.len() >= 3)
         .unwrap()
         .truncated(3);
-    let ctx = InstanceContext::build(&dataset, &instance, OpinionScheme::Binary);
-    let mut session = IncrementalSession::new(ctx, SelectParams::default());
-
-    let z = session.context().space().num_aspects();
-    let mut last_objective = f64::INFINITY;
+    let params = SelectParams::default();
+    let z = dataset.num_aspects() as u32;
     for step in 0..12u32 {
-        let item = (step as usize) % session.context().num_items();
-        let aspect = (step as usize * 7) % z;
+        // Each item in turn takes an add, an edit and a delete.
+        let item = (step / 3) as usize % instance.len();
+        let product = instance.items[item];
         let polarity = if step % 3 == 0 {
             Polarity::Negative
         } else {
             Polarity::Positive
         };
-        session.add_review(
-            item,
-            ReviewId(800_000 + step),
-            ReviewFeature::new(vec![(aspect, polarity)]),
-        );
-        // Invariants hold at every step.
-        for (i, sel) in session.selections().iter().enumerate() {
-            assert!(!sel.is_empty());
-            assert!(sel.len() <= 3);
-            assert!(sel
-                .indices
-                .iter()
-                .all(|&r| r < session.context().item(i).num_reviews()));
+        let mentions = vec![AspectMention {
+            aspect: AspectId((step * 7) % z),
+            polarity,
+        }];
+        let listed = dataset.reviews_of(product).to_vec();
+        // A delete never empties an item.
+        let kind = match step % 3 {
+            0 => EventKind::Add,
+            1 => EventKind::Edit,
+            _ if listed.len() > 1 => EventKind::Delete,
+            _ => EventKind::Add,
+        };
+        let (review, reviewer) = match kind {
+            EventKind::Add => (
+                ReviewId(dataset.reviews.len() as u32),
+                dataset.num_reviewers,
+            ),
+            _ => (listed[step as usize % listed.len()], 0),
+        };
+        let event = ReviewEvent {
+            seq: u64::from(step) + 1,
+            kind,
+            product,
+            review,
+            reviewer,
+            rating: 4,
+            text: format!("streamed review {step}"),
+            mentions,
+        };
+        dataset.apply_event(&event).unwrap();
+
+        let ctx = InstanceContext::build(&dataset, &instance, OpinionScheme::Binary);
+        let reviews = &ctx.item(item).review_ids;
+        let position = reviews.iter().position(|&r| r == review);
+        match kind {
+            EventKind::Add => assert_eq!(position, Some(reviews.len() - 1)),
+            EventKind::Edit => {
+                let expected = ReviewFeature::new(
+                    event
+                        .mentions
+                        .iter()
+                        .map(|m| (m.aspect.0 as usize, m.polarity))
+                        .collect(),
+                );
+                assert_eq!(ctx.item(item).features[position.unwrap()], expected);
+            }
+            EventKind::Delete => assert_eq!(position, None),
         }
-        let obj = session.objective();
-        assert!(obj.is_finite() && obj >= 0.0);
-        last_objective = obj;
+
+        let selections = solve_comparesets_plus(&ctx, &params);
+        assert_eq!(selections.len(), ctx.num_items());
+        for (i, sel) in selections.iter().enumerate() {
+            assert!(!sel.is_empty(), "step {step}: item {i} selected nothing");
+            assert!(sel.len() <= params.m);
+            assert!(sel.indices.iter().all(|&r| r < ctx.item(i).num_reviews()));
+            let listed = dataset.reviews_of(ctx.item(i).product);
+            for id in sel.review_ids(ctx.item(i)) {
+                assert!(listed.contains(&id), "step {step}: {id:?} is not listed");
+            }
+        }
+        let objective = comparesets_plus_objective(&ctx, &selections, params.lambda, params.mu);
+        assert!(objective.is_finite() && objective >= 0.0);
     }
-    // A refresh at the end can only help.
-    session.refresh();
-    assert!(session.objective() <= last_objective + 1e-9);
 }
