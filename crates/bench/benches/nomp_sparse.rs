@@ -21,7 +21,7 @@
 
 use comparesets_bench::{BenchReport, Measurement};
 use comparesets_core::SolveCtl;
-use comparesets_linalg::{nomp_path, CscMatrix, DesignMatrix, Matrix, NompOptions, NompWorkspace};
+use comparesets_linalg::{nomp_path, CscMatrix, DesignMatrix, Matrix, NompWorkspace};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -88,8 +88,17 @@ fn design_at_density(
 }
 
 /// One unmetered budget-path pursuit on a fresh workspace.
-fn pursue<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) {
-    black_box(nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default()).unwrap());
+fn pursue<M: DesignMatrix>(a: &M, b: &[f64], max_atoms: usize) {
+    black_box(
+        nomp_path(
+            a,
+            b,
+            max_atoms,
+            &mut NompWorkspace::new(),
+            SolveCtl::default(),
+        )
+        .unwrap(),
+    );
 }
 
 fn bench_nomp(c: &mut Criterion) {
@@ -97,16 +106,16 @@ fn bench_nomp(c: &mut Criterion) {
     g.sample_size(10);
     for &(rows, cols) in &[(1_000usize, 30usize), (8_000, 30), (16_000, 60)] {
         let (dense, sparse, b) = design(rows, cols, 8, 7);
-        let opts = NompOptions::with_max_atoms(5);
+        let max_atoms = 5;
         g.bench_with_input(
             BenchmarkId::new("dense", format!("{rows}x{cols}")),
             &dense,
-            |bch, m| bch.iter(|| pursue(m, &b, opts)),
+            |bch, m| bch.iter(|| pursue(m, &b, max_atoms)),
         );
         g.bench_with_input(
             BenchmarkId::new("sparse", format!("{rows}x{cols}")),
             &sparse,
-            |bch, m| bch.iter(|| pursue(m, &b, opts)),
+            |bch, m| bch.iter(|| pursue(m, &b, max_atoms)),
         );
     }
     g.finish();
@@ -117,7 +126,7 @@ fn bench_nomp(c: &mut Criterion) {
 const L_MAX: usize = 7;
 
 fn path_sweep<M: DesignMatrix>(a: &M, b: &[f64]) {
-    pursue(a, b, NompOptions::with_max_atoms(L_MAX));
+    pursue(a, b, L_MAX);
 }
 
 /// The densities the crossover sweep visits: paper-sparse through fully

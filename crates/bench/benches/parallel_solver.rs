@@ -24,9 +24,7 @@ use comparesets_core::{
     solve_comparesets_plus_sweeps_with, solve_comparesets_plus_with, solve_crs_with, SelectParams,
     SolveCtl, SolveOptions,
 };
-use comparesets_linalg::{
-    nomp_path, nomp_reference, CscMatrix, Matrix, NompOptions, NompWorkspace,
-};
+use comparesets_linalg::{nomp_path, nomp_reference, CscMatrix, Matrix, NompWorkspace};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -62,16 +60,15 @@ fn design(rows: usize, cols: usize, nnz: usize, seed: u64) -> (Matrix, CscMatrix
 /// budget, rebuilding the dense Gram at every refit.
 fn naive_budget_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
     for l in 1..=l_max {
-        black_box(nomp_reference(a, b, NompOptions::with_max_atoms(l)).unwrap());
+        black_box(nomp_reference(a, b, l).unwrap());
     }
 }
 
 /// The new engine: one shared Gram-cached pursuit snapshotting every
 /// budget along the way.
 fn shared_path_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
-    let opts = NompOptions::with_max_atoms(l_max);
     let mut ws = NompWorkspace::new();
-    black_box(nomp_path(a, b, opts, &mut ws, SolveCtl::default()).unwrap());
+    black_box(nomp_path(a, b, l_max, &mut ws, SolveCtl::default()).unwrap());
 }
 
 fn bench_engine(c: &mut Criterion) {

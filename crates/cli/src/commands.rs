@@ -17,9 +17,11 @@ use comparesets_graph::{
     improve_by_swaps, solve_exact, solve_greedy as graph_greedy, solve_peeling, solve_random_k,
     solve_top_k_similarity, ExactOptions, SimilarityGraph,
 };
+use comparesets_serve::ServerConfig;
 use std::io::BufReader;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Usage text printed on errors and by `help` / `--help`.
 pub const USAGE: &str = "\
@@ -39,13 +41,15 @@ commands:
                   [--warm-start false] solve every sweep from scratch (selection-invariant)
                   [--strict true]      fail (exit 5) instead of degrading on numerical faults
   narrow          --corpus FILE --target ID [--k N] [--method exact|greedy|topk|random|peel]
-                  [--m N] [--lambda X] [--mu X] [--max-comparatives N] [--time-limit-ms N]
+                  [--m N] [--lambda X] [--mu X] [--max-comparatives N]
                   [--seed S] [--warm-start false]
                   [--threads N]        branch-and-bound workers for --method exact (default 1)
-  eval            [--out FILE] [--scale N] [--config tiny|default] [--experiments a,b,...]
+                  [--time-limit-ms N]  budget of --method exact (default 60000)
+  eval            [--out FILE] [--config tiny|default] [--scale N] [--experiments a,b,...]
                   [--checkpoint-dir DIR] [--resume true] [--warm-start false]
-                  run the reproduction suite; the deterministic report (no
-                  wall-clock lines) is written atomically to --out
+                  run the reproduction suite (--scale N grows the default
+                  config only); the deterministic report (no wall-clock
+                  lines) is written atomically to --out
   serve           --corpus FILE[,FILE...] [--addr HOST:PORT] [--workers N]
                   [--cache-capacity N] [--request-timeout SECS]
                   [--overload-timeout-ms N] [--max-requests N]
@@ -364,12 +368,21 @@ fn cmd_convert_amazon(
     Ok(summary)
 }
 
+/// `--m`, `--lambda` and `--mu`, each defaulting to its
+/// [`SelectParams::default`] value.
 fn select_params(args: &Args) -> Result<SelectParams, String> {
+    let default = SelectParams::default();
     Ok(SelectParams {
-        m: args.get_or("m", 3)?,
-        lambda: args.get_or("lambda", 1.0)?,
-        mu: args.get_or("mu", 0.1)?,
+        m: args.get_or("m", default.m)?,
+        lambda: args.get_or("lambda", default.lambda)?,
+        mu: args.get_or("mu", default.mu)?,
     })
+}
+
+/// A `--*-ms` flag as a [`Duration`], defaulting to `default`.
+fn millis_flag(args: &Args, key: &str, default: Duration) -> Result<Duration, String> {
+    let default = u64::try_from(default.as_millis()).unwrap_or(u64::MAX);
+    Ok(Duration::from_millis(args.get_or(key, default)?))
 }
 
 /// Parse `--timeout SECS` into a deadline-armed [`CancelToken`].
@@ -485,11 +498,30 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
     }
     let k: usize = args.get_or("k", 3)?;
     let method = args.get("method").unwrap_or("exact").to_lowercase();
+    // Only the exact search reads --threads and --time-limit-ms; another
+    // method would silently ignore them.
+    if !matches!(method.as_str(), "exact" | "ilp") {
+        if let Some(flag) = ["threads", "time-limit-ms"]
+            .into_iter()
+            .find(|flag| args.get(flag).is_some())
+        {
+            return Err(CliError::usage(format!(
+                "narrow --method {method} does not take --{flag}"
+            )));
+        }
+    }
     let max_comp: usize = args.get_or("max-comparatives", 12)?;
     let params = select_params(args)?;
     let seed: u64 = args.get_or("seed", 42)?;
-    let time_limit: u64 = args.get_or("time-limit-ms", 60_000)?;
     let opts = solve_options(args, metrics.clone())?;
+    // --timeout and --metrics-json reach the graph solve too.
+    let exact_default = ExactOptions::default();
+    let exact_opts = ExactOptions {
+        time_limit: millis_flag(args, "time-limit-ms", exact_default.time_limit)?,
+        threads: args.get_or("threads", exact_default.threads)?,
+        cancel: opts.cancel.clone(),
+        metrics: opts.metrics.clone(),
+    };
     let dataset = load_corpus(args.require("corpus")?, metrics.as_ref())?;
 
     let (_, ctx) = instance_for(&dataset, target, max_comp)?;
@@ -504,13 +536,6 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
     let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);
     let vertices = match method.as_str() {
         "exact" | "ilp" => {
-            // --timeout and --metrics-json reach the graph solve, and
-            // --threads picks the parallel branch-and-bound.
-            let mut exact_opts = ExactOptions::default()
-                .with_time_limit(std::time::Duration::from_millis(time_limit))
-                .with_threads(args.get_or("threads", 1)?);
-            exact_opts.cancel = opts.cancel.clone();
-            exact_opts.metrics = opts.metrics.clone();
             let result = solve_exact(&graph, 0, k, &exact_opts);
             if opts.cancel.as_deref().is_some_and(CancelToken::fired) {
                 return Err(CliError::deadline(format!(
@@ -558,33 +583,11 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
 /// answered or deadline-clamped, the WAL is flushed, a final snapshot is
 /// written, and the process exits 0.
 fn cmd_serve(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
-    use comparesets_serve::{Server, ServerConfig};
+    use comparesets_serve::Server;
 
     let corpora = args.require("corpus")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let request_timeout: f64 = args.get_or("request-timeout", 30.0)?;
-    if !(request_timeout.is_finite() && request_timeout >= 0.0) {
-        return Err(CliError::usage(format!(
-            "--request-timeout: must be a non-negative number, got {request_timeout}"
-        )));
-    }
-    let max_requests: u64 = args.get_or("max-requests", 0)?;
-    let config = ServerConfig {
-        workers: args.get_or("workers", 4)?,
-        cache_capacity: args.get_or("cache-capacity", 64)?,
-        request_timeout: std::time::Duration::from_secs_f64(request_timeout),
-        overload_timeout: std::time::Duration::from_millis(
-            args.get_or("overload-timeout-ms", 250)?,
-        ),
-        max_requests: (max_requests > 0).then_some(max_requests),
-        data_dir: args.get("data-dir").map(std::path::PathBuf::from),
-        snapshot_every: args.get_or("snapshot-every", 256)?,
-        drain_deadline: std::time::Duration::from_millis(args.get_or("drain-deadline-ms", 1_000)?),
-        ..ServerConfig::default()
-    };
-    if config.workers == 0 {
-        return Err(CliError::usage("--workers: must be at least 1"));
-    }
+    let config = server_config(args)?;
 
     // The server always collects metrics (the `metrics` op serves them);
     // with `--metrics-json` the same collector also feeds the report.
@@ -616,6 +619,36 @@ fn cmd_serve(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String,
         "served {} request(s), {} degraded",
         summary.requests, summary.degraded
     ))
+}
+
+/// The daemon's tuning from the `serve` flags. Each flag left out keeps
+/// its [`ServerConfig::default`] value, so `serve` without tuning flags
+/// runs the default daemon.
+fn server_config(args: &Args) -> Result<ServerConfig, CliError> {
+    let default = ServerConfig::default();
+    let request_timeout: f64 =
+        args.get_or("request-timeout", default.request_timeout.as_secs_f64())?;
+    if !(request_timeout.is_finite() && request_timeout >= 0.0) {
+        return Err(CliError::usage(format!(
+            "--request-timeout: must be a non-negative number, got {request_timeout}"
+        )));
+    }
+    let max_requests: u64 = args.get_or("max-requests", default.max_requests.unwrap_or(0))?;
+    let config = ServerConfig {
+        workers: args.get_or("workers", default.workers)?,
+        cache_capacity: args.get_or("cache-capacity", default.cache_capacity)?,
+        request_timeout: Duration::from_secs_f64(request_timeout),
+        overload_timeout: millis_flag(args, "overload-timeout-ms", default.overload_timeout)?,
+        max_requests: (max_requests > 0).then_some(max_requests),
+        data_dir: args.get("data-dir").map(PathBuf::from).or(default.data_dir),
+        snapshot_every: args.get_or("snapshot-every", default.snapshot_every)?,
+        drain_deadline: millis_flag(args, "drain-deadline-ms", default.drain_deadline)?,
+        ..default
+    };
+    if config.workers == 0 {
+        return Err(CliError::usage("--workers: must be at least 1"));
+    }
+    Ok(config)
 }
 
 /// Inspect a durable corpus store offline (ARCHITECTURE.md §11): replay
@@ -780,6 +813,9 @@ fn cmd_eval(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, 
     use comparesets_eval::{run_suite, run_suite_checkpointed, standard_suite, CheckpointStore};
 
     let mut cfg = match args.get("config").unwrap_or("default") {
+        "tiny" if args.get("scale").is_some() => {
+            return Err(CliError::usage("eval --config tiny does not take --scale"))
+        }
         "tiny" => comparesets_eval::EvalConfig::tiny(),
         "default" => comparesets_eval::EvalConfig::scaled(args.get_or("scale", 1)?),
         other => {
@@ -1357,6 +1393,65 @@ mod tests {
         assert!(e.to_string().contains("--request-timeout"), "{e}");
         let e = run(&["serve", "--corpus", "/nonexistent/zz.json"]).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Io);
+    }
+
+    #[test]
+    fn serve_without_tuning_flags_runs_the_default_daemon() {
+        let argv: Vec<String> = ["serve", "--corpus", "x.json", "--addr", "127.0.0.1:0"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = parse(&argv).unwrap();
+        assert_eq!(server_config(&args).unwrap(), ServerConfig::default());
+
+        let argv: Vec<String> = ["serve", "--corpus", "x.json", "--drain-deadline-ms", "5"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = parse(&argv).unwrap();
+        let config = server_config(&args).unwrap();
+        assert_eq!(config.drain_deadline, Duration::from_millis(5));
+        assert_eq!(config.workers, ServerConfig::default().workers);
+    }
+
+    #[test]
+    fn flags_the_chosen_branch_does_not_read_are_usage_errors() {
+        let e = run(&["eval", "--config", "tiny", "--scale", "10"]).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.to_string().contains("--scale"), "{e}");
+        // The corpus does not exist: a usage error proves the check runs
+        // before any work.
+        for (flag, value) in [("--threads", "4"), ("--time-limit-ms", "5")] {
+            let e = run(&[
+                "narrow",
+                "--corpus",
+                "/nonexistent/zz.json",
+                "--target",
+                "0",
+                "--method",
+                "greedy",
+                flag,
+                value,
+            ])
+            .unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{flag}: {e}");
+            assert!(e.to_string().contains(flag), "{e}");
+        }
+        let e = run(&[
+            "narrow",
+            "--corpus",
+            "/nonexistent/zz.json",
+            "--target",
+            "0",
+            "--threads",
+            "4",
+        ])
+        .unwrap_err();
+        assert_eq!(
+            e.kind,
+            ErrorKind::Io,
+            "the exact default takes --threads: {e}"
+        );
     }
 
     #[test]

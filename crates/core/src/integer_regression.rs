@@ -67,7 +67,7 @@
 //! assert!(!sel.is_empty() && sel.len() <= 2);
 //! ```
 
-use comparesets_linalg::{nomp_path, CscMatrix, NompOptions, NompWorkspace, SolveError};
+use comparesets_linalg::{nomp_path, CscMatrix, NompWorkspace, SolveError};
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
 use crate::error::CoreError;
@@ -438,8 +438,7 @@ where
         // never exceed the q distinct columns), so the path only needs the
         // distinct budgets 1..=min(m, q); duplicates would re-evaluate the
         // same candidates and lose every strict-< comparison anyway.
-        let opts = NompOptions::with_max_atoms(m.min(q));
-        let path = nomp_path(&task.matrix, &task.target, opts, workspace, ctl)?;
+        let path = nomp_path(&task.matrix, &task.target, m.min(q), workspace, ctl)?;
         for res in &path {
             if res.support.is_empty() {
                 continue;

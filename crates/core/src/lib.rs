@@ -73,7 +73,7 @@ pub use objective::{
 pub use space::{OpinionScheme, VectorSpace};
 
 pub use comparesets_obs::{
-    CancelToken, MetricsReport, MetricsSnapshot, SolveCtl, SolverMetrics, METRICS_SCHEMA,
+    CancelToken, MetricsReport, MetricsSnapshot, SolveCtl, SolverMetrics, COUNTERS, METRICS_SCHEMA,
 };
 use std::sync::Arc;
 use std::time::Duration;

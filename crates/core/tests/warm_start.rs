@@ -107,7 +107,6 @@ fn cold_solves_never_touch_the_warm_counters() {
     }
     let snap = metrics.snapshot();
     assert_eq!(snap.warm_start_hits, 0);
-    assert_eq!(snap.warm_start_truncations, 0);
     assert_eq!(snap.corr_incremental_updates, 0);
     assert_eq!(snap.corr_exact_recomputes, 0);
     assert_eq!(snap.nnls_refits, snap.nomp_iterations);

@@ -1,12 +1,12 @@
 //! Experiment configuration.
 //!
 //! The paper's corpora hold 10k–23k products; every target product is an
-//! independent instance, solved in parallel (§4.1.1). The harness defaults
-//! to a laptop-scale slice — a few hundred products per category and a
-//! bounded sample of instances — which preserves every comparison the
-//! paper draws. Scale up with [`EvalConfig::scaled`] or the
-//! `COMPARESETS_SCALE` environment variable (1 = default, 10 ≈ paper-scale
-//! instance counts).
+//! independent instance (§4.1.1), which the harness solves one after
+//! another. The harness defaults to a laptop-scale slice — a few hundred
+//! products per category and a bounded sample of instances — which
+//! preserves every comparison the paper draws. Scale up with
+//! [`EvalConfig::scaled`] or the `COMPARESETS_SCALE` environment variable
+//! (1 = default, 10 ≈ paper-scale instance counts).
 
 use comparesets_core::{OpinionScheme, SolveOptions};
 

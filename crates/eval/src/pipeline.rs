@@ -5,7 +5,6 @@ use comparesets_core::{
 };
 use comparesets_data::{CategoryPreset, Dataset};
 use comparesets_text::tokenize;
-use rayon::prelude::*;
 
 use crate::config::EvalConfig;
 
@@ -61,7 +60,7 @@ pub fn prepare_instances(dataset: &Dataset, cfg: &EvalConfig) -> Vec<PreparedIns
         .collect()
 }
 
-/// Run one algorithm over all prepared instances (in parallel). The
+/// Run one algorithm over all prepared instances, one after another. The
 /// random baseline derives a per-instance seed for reproducibility.
 pub fn run_algorithm(
     instances: &[PreparedInstance],
@@ -84,9 +83,8 @@ pub fn run_algorithm_cfg(
     run_algorithm_opts(instances, algorithm, params, cfg.seed, &cfg.solve_options)
 }
 
-/// [`run_algorithm`] with solver execution options. Instances fan out
-/// through `par_iter` and are collected in input order; each instance's
-/// solve runs its items sequentially under `opts`.
+/// [`run_algorithm`] with solver execution options. Instances are solved
+/// in input order, each one's items sequentially under `opts`.
 pub fn run_algorithm_opts(
     instances: &[PreparedInstance],
     algorithm: Algorithm,
@@ -95,7 +93,7 @@ pub fn run_algorithm_opts(
     opts: &SolveOptions,
 ) -> Vec<Vec<Selection>> {
     instances
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(idx, inst)| {
             solve_with(

@@ -7,9 +7,8 @@
 //! the mean per-instance cost of the full CompaReSetS+ pipeline at growing
 //! corpus sizes, which must stay flat.
 //!
-//! It measures no parallel speedup. The vendored rayon stand-in runs
-//! `par_iter` sequentially (`third_party/rayon`), so a parallel pass would
-//! time the same sequential solve a second time on any host.
+//! It measures no parallel speedup: the suite solves its instances one
+//! after another, so there is no parallel pass to time.
 
 use comparesets_core::{solve_comparesets_plus, SelectParams};
 use comparesets_data::CategoryPreset;

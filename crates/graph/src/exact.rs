@@ -26,11 +26,10 @@
 //!   solve path, ARCHITECTURE.md §8).
 //! * **Parallel search** — with [`ExactOptions::threads`] ≥ 2 the solver
 //!   spawns scoped worker threads over a shared best-first frontier of
-//!   subproblems (subtrees above [`ExactOptions::spawn_depth`] become
-//!   frontier tasks, deeper subtrees run as sequential DFS inside a task
-//!   to bound scheduling overhead) with a CAS-improved atomic incumbent.
-//!   The vendored rayon stand-in executes sequentially, so the B&B
-//!   manages its own scoped `std::thread` workers — the same discipline
+//!   subproblems (subtrees above depth `SPAWN_DEPTH` = 2 become frontier
+//!   tasks, deeper subtrees run as sequential DFS inside a task to bound
+//!   scheduling overhead) with a CAS-improved atomic incumbent. The
+//!   workers are scoped `std::thread`s, the same discipline
 //!   `comparesets-serve` uses for connections. Sequential and parallel
 //!   runs prove the same optimum; on timeout the frontier's surviving
 //!   bounds yield a much tighter anytime gap than the sequential root
@@ -47,6 +46,12 @@ use std::time::Duration;
 /// Pruning slack: a subtree is discarded when its bound cannot beat the
 /// incumbent by more than this (guards against FP noise in weight sums).
 const EPS: f64 = 1e-12;
+
+/// Tree depth (vertices chosen beyond the target) above which a parallel
+/// search publishes subtrees to the shared frontier as stealable tasks;
+/// below it a task runs as plain DFS. At least 1: the root must expand
+/// for there to be parallelism.
+const SPAWN_DEPTH: usize = 2;
 
 /// Termination status of the exact solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +75,6 @@ pub struct ExactOptions {
     /// `n ≥ 2` spawns `n` scoped OS threads over the shared best-first
     /// frontier. Both modes prove the same optimal weight.
     pub threads: usize,
-    /// Tree depth (vertices chosen beyond the target) above which
-    /// subtrees are published to the shared frontier as stealable tasks;
-    /// below it a task runs as plain DFS. Only read when `threads ≥ 2`;
-    /// `0` is treated as `1` (the root must expand to have parallelism).
-    pub spawn_depth: usize,
     /// Optional external cancellation latch, polled once per node
     /// alongside the internal deadline. A pre-fired token returns the
     /// greedy warm-start incumbent immediately with
@@ -89,13 +89,11 @@ pub struct ExactOptions {
 }
 
 impl Default for ExactOptions {
-    /// The paper's protocol: 60-second limit, sequential search, subtrees
-    /// spawned down to depth 2 when threads are added.
+    /// The paper's protocol: 60-second limit, sequential search.
     fn default() -> Self {
         ExactOptions {
             time_limit: Duration::from_secs(60),
             threads: 1,
-            spawn_depth: 2,
             cancel: None,
             metrics: None,
         }
@@ -438,7 +436,6 @@ impl Frontier {
 struct ParShared<'g, 'p> {
     graph: &'g SimilarityGraph,
     k: usize,
-    spawn_depth: usize,
     preempt: &'p Preempt<'p>,
     incumbent: Incumbent,
     frontier: Frontier,
@@ -521,7 +518,7 @@ impl ParShared<'_, '_> {
         debug_assert!(r >= 1);
         let depth = task.chosen.len() - 1;
         let order = gain_order(self.graph, &task.chosen, &task.cands);
-        if depth < self.spawn_depth && r > 1 {
+        if depth < SPAWN_DEPTH && r > 1 {
             // Publish each child subtree as a stealable frontier task.
             let mut chosen = task.chosen.clone();
             for (pos, &v) in order.iter().enumerate() {
@@ -725,7 +722,6 @@ fn solve_parallel(
     let shared = ParShared {
         graph,
         k,
-        spawn_depth: options.spawn_depth.max(1),
         preempt,
         incumbent: Incumbent::new(warm_weight, warm),
         frontier: Frontier {

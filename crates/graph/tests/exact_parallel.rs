@@ -137,22 +137,3 @@ fn parallel_weight_matches_sequential_on_larger_instances() {
         }
     }
 }
-
-#[test]
-fn spawn_depth_does_not_change_the_optimum() {
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let g = random_graph(&mut rng, 16, 8.0);
-    let seq = solve_exact(&g, 0, 5, &ExactOptions::default());
-    for spawn_depth in [0, 1, 2, 3, 4] {
-        let mut options = ExactOptions::default().with_threads(3);
-        options.spawn_depth = spawn_depth;
-        let par = solve_exact(&g, 0, 5, &options);
-        assert_eq!(par.status, SolveStatus::Optimal);
-        assert!(
-            (par.weight - seq.weight).abs() < 1e-9,
-            "spawn_depth {spawn_depth}: {} vs {}",
-            par.weight,
-            seq.weight
-        );
-    }
-}

@@ -50,6 +50,6 @@ pub use nnls::{
     nnls, nnls_capped, nnls_gram, nnls_gram_capped, nnls_gram_capped_ctl, nnls_gram_capped_with,
     NnlsDiagnostics,
 };
-pub use nomp::{nomp_path, nomp_reference, NompOptions, NompResult, NompWorkspace};
+pub use nomp::{nomp_path, nomp_reference, NompResult, NompWorkspace};
 pub use qr::lstsq;
 pub use sparse::{CscMatrix, DesignMatrix};

@@ -36,7 +36,7 @@
 //! `comparesets_core::RegressionWarm` (ARCHITECTURE.md §9).
 //!
 //! ```
-//! use comparesets_linalg::{nomp_path, Matrix, NompOptions, NompWorkspace};
+//! use comparesets_linalg::{nomp_path, Matrix, NompWorkspace};
 //! use comparesets_obs::SolveCtl;
 //!
 //! let a = Matrix::from_rows(&[
@@ -48,14 +48,12 @@
 //! let mut ws = NompWorkspace::new();
 //!
 //! // One pursuit, every budget ℓ = 1..=2: path[l-1] is the budget-ℓ result.
-//! let path =
-//!     nomp_path(&a, &b, NompOptions::with_max_atoms(2), &mut ws, SolveCtl::default()).unwrap();
+//! let path = nomp_path(&a, &b, 2, &mut ws, SolveCtl::default()).unwrap();
 //! assert_eq!(path.len(), 2);
 //! assert!(path[1].sq_residual <= path[0].sq_residual + 1e-12);
 //!
 //! // Identical to a pursuit that stops at budget 1.
-//! let single =
-//!     nomp_path(&a, &b, NompOptions::with_max_atoms(1), &mut ws, SolveCtl::default()).unwrap();
+//! let single = nomp_path(&a, &b, 1, &mut ws, SolveCtl::default()).unwrap();
 //! assert_eq!(single[0].support, path[0].support);
 //! assert_eq!(single[0].x, path[0].x);
 //! ```
@@ -67,29 +65,12 @@ use crate::sparse::DesignMatrix;
 use crate::vector;
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
-/// Tuning knobs for [`nomp_path`].
-#[derive(Debug, Clone, Copy)]
-pub struct NompOptions {
-    /// Maximum number of active atoms (ℓ in Algorithm 1 line 7): the
-    /// largest budget, and the length of the path [`nomp_path`] returns.
-    pub max_atoms: usize,
-    /// Stop when the squared residual improves by less than this factor of
-    /// the previous squared residual.
-    pub min_relative_improvement: f64,
-    /// Absolute squared-residual floor at which pursuit stops early.
-    pub residual_tolerance: f64,
-}
+/// Stop when the squared residual improves by less than this factor of
+/// the previous squared residual.
+const MIN_RELATIVE_IMPROVEMENT: f64 = 1e-12;
 
-impl NompOptions {
-    /// Options with a given atom budget and standard tolerances.
-    pub fn with_max_atoms(max_atoms: usize) -> Self {
-        NompOptions {
-            max_atoms,
-            min_relative_improvement: 1e-12,
-            residual_tolerance: 1e-18,
-        }
-    }
-}
+/// Absolute squared-residual floor at which a pursuit stops early.
+const RESIDUAL_TOLERANCE: f64 = 1e-18;
 
 /// Outcome of a NOMP run.
 #[derive(Debug, Clone)]
@@ -183,7 +164,7 @@ fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&So
 }
 
 /// Run one shared pursuit and return the results for **every** budget
-/// `ℓ = 1..=opts.max_atoms` (`path[l-1]` is the budget-`l` result).
+/// `ℓ = 1..=max_atoms` (`path[l-1]` is the budget-`l` result).
 ///
 /// Each entry is identical — same support, same coefficients, same
 /// residual — to the last entry of a pursuit run with `max_atoms = l`,
@@ -215,13 +196,13 @@ fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&So
 ///
 /// # Errors
 /// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
-/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`;
+/// [`LinalgError::InvalidArgument`] when `max_atoms == 0`;
 /// [`LinalgError::NonFinite`] when `b` or the design matrix holds a NaN or
 /// an infinity.
 pub fn nomp_path<M: DesignMatrix>(
     a: &M,
     b: &[f64],
-    opts: NompOptions,
+    max_atoms: usize,
     ws: &mut NompWorkspace,
     ctl: SolveCtl<'_>,
 ) -> Result<Vec<NompResult>, LinalgError> {
@@ -235,7 +216,7 @@ pub fn nomp_path<M: DesignMatrix>(
             actual: b.len(),
         });
     }
-    if opts.max_atoms == 0 {
+    if max_atoms == 0 {
         return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
     }
 
@@ -252,7 +233,7 @@ pub fn nomp_path<M: DesignMatrix>(
         SolverMetrics::incr(&mm.nomp_pursuits);
     }
     let pursuit_start = metrics.map(|_| std::time::Instant::now());
-    let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = opts.max_atoms);
+    let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = max_atoms);
     let _span_guard = span.enter();
 
     ws.reset(m, n);
@@ -274,14 +255,14 @@ pub fn nomp_path<M: DesignMatrix>(
     ws.residual.copy_from_slice(b);
     let mut sq_res = vector::dot(&ws.residual, &ws.residual);
 
-    let mut results: Vec<NompResult> = Vec::with_capacity(opts.max_atoms);
+    let mut results: Vec<NompResult> = Vec::with_capacity(max_atoms);
 
     loop {
         // Budget checkpoints: every budget whose stopping condition first
         // holds here gets the current state.
-        while results.len() < opts.max_atoms {
+        while results.len() < max_atoms {
             let l = results.len() + 1;
-            if ws.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
+            if ws.support.len() >= l.min(n) || sq_res <= RESIDUAL_TOLERANCE {
                 if let Some(mm) = metrics {
                     SolverMetrics::incr(&mm.path_snapshots);
                 }
@@ -290,7 +271,7 @@ pub fn nomp_path<M: DesignMatrix>(
                 break;
             }
         }
-        if results.len() == opts.max_atoms {
+        if results.len() == max_atoms {
             break;
         }
 
@@ -412,7 +393,7 @@ pub fn nomp_path<M: DesignMatrix>(
             *r -= v;
         }
         let new_sq = vector::dot(&ws.residual, &ws.residual);
-        let improved = sq_res - new_sq > opts.min_relative_improvement * sq_res.max(1e-30);
+        let improved = sq_res - new_sq > MIN_RELATIVE_IMPROVEMENT * sq_res.max(1e-30);
         sq_res = new_sq;
         if pruned_entering || !improved {
             break; // No progress possible.
@@ -421,7 +402,7 @@ pub fn nomp_path<M: DesignMatrix>(
 
     // A break above ends every budget not yet recorded at the current
     // state.
-    while results.len() < opts.max_atoms {
+    while results.len() < max_atoms {
         if let Some(mm) = metrics {
             SolverMetrics::incr(&mm.path_snapshots);
         }
@@ -434,8 +415,9 @@ pub fn nomp_path<M: DesignMatrix>(
 }
 
 /// The straightforward NOMP implementation this crate shipped before the
-/// Gram-cached engine: per iteration it re-materialises the active
-/// submatrix and refits with design-space [`crate::nnls::nnls`].
+/// Gram-cached engine: one pursuit to budget `max_atoms` that, per
+/// iteration, re-materialises the active submatrix and refits with
+/// design-space [`crate::nnls::nnls`].
 ///
 /// Kept as the oracle for equivalence tests (the optimised engine must
 /// match it to tight tolerance on random instances) and as readable
@@ -446,7 +428,7 @@ pub fn nomp_path<M: DesignMatrix>(
 pub fn nomp_reference<M: DesignMatrix>(
     a: &M,
     b: &[f64],
-    opts: NompOptions,
+    max_atoms: usize,
 ) -> Result<NompResult, LinalgError> {
     let m = a.rows();
     let n = a.cols();
@@ -457,7 +439,7 @@ pub fn nomp_reference<M: DesignMatrix>(
             actual: b.len(),
         });
     }
-    if opts.max_atoms == 0 {
+    if max_atoms == 0 {
         return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
     }
     if !vector::all_finite(b) {
@@ -466,7 +448,7 @@ pub fn nomp_reference<M: DesignMatrix>(
         });
     }
 
-    let mut support: Vec<usize> = Vec::with_capacity(opts.max_atoms.min(n));
+    let mut support: Vec<usize> = Vec::with_capacity(max_atoms.min(n));
     let mut in_support = vec![false; n];
     let mut x = vec![0.0_f64; n];
     let mut residual = b.to_vec();
@@ -484,7 +466,7 @@ pub fn nomp_reference<M: DesignMatrix>(
         });
     }
 
-    while support.len() < opts.max_atoms.min(n) && sq_res > opts.residual_tolerance {
+    while support.len() < max_atoms.min(n) && sq_res > RESIDUAL_TOLERANCE {
         let corr = a.tr_matvec(&residual)?;
         let mut best_j = None;
         let mut best_c = 0.0_f64;
@@ -530,7 +512,7 @@ pub fn nomp_reference<M: DesignMatrix>(
             *r -= v;
         }
         let new_sq = vector::dot(&residual, &residual);
-        let improved = sq_res - new_sq > opts.min_relative_improvement * sq_res.max(1e-30);
+        let improved = sq_res - new_sq > MIN_RELATIVE_IMPROVEMENT * sq_res.max(1e-30);
         sq_res = new_sq;
         if pruned_entering || !improved {
             break;
@@ -550,26 +532,28 @@ mod tests {
     use crate::matrix::Matrix;
     use crate::sparse::CscMatrix;
 
-    fn opts(l: usize) -> NompOptions {
-        NompOptions::with_max_atoms(l)
-    }
-
     /// The budget path of a fresh, unmetered pursuit.
     fn path<M: DesignMatrix>(
         a: &M,
         b: &[f64],
-        opts: NompOptions,
+        max_atoms: usize,
     ) -> Result<Vec<NompResult>, LinalgError> {
-        nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+        nomp_path(
+            a,
+            b,
+            max_atoms,
+            &mut NompWorkspace::new(),
+            SolveCtl::default(),
+        )
     }
 
-    /// The result at budget `opts.max_atoms`: the last entry of its path.
+    /// The result at budget `max_atoms`: the last entry of its path.
     fn nomp<M: DesignMatrix>(
         a: &M,
         b: &[f64],
-        opts: NompOptions,
+        max_atoms: usize,
     ) -> Result<NompResult, LinalgError> {
-        let mut p = path(a, b, opts)?;
+        let mut p = path(a, b, max_atoms)?;
         Ok(p.pop().expect("a path has max_atoms > 0 entries"))
     }
 
@@ -578,7 +562,7 @@ mod tests {
         // b is exactly 2 × column 1.
         let a = Matrix::from_rows(&[vec![1.0, 0.0, 1.0], vec![0.0, 1.0, 1.0]]).unwrap();
         let b = vec![0.0, 2.0];
-        let r = nomp(&a, &b, opts(1)).unwrap();
+        let r = nomp(&a, &b, 1).unwrap();
         assert_eq!(r.support, vec![1]);
         assert!((r.x[1] - 2.0).abs() < 1e-10);
         assert!(r.sq_residual < 1e-16);
@@ -594,7 +578,7 @@ mod tests {
         .unwrap();
         // b = 1*c0 + 3*c1
         let b = vec![1.0, 3.0, 0.0];
-        let r = nomp(&a, &b, opts(2)).unwrap();
+        let r = nomp(&a, &b, 2).unwrap();
         let mut s = r.support.clone();
         s.sort_unstable();
         assert_eq!(s, vec![0, 1]);
@@ -611,7 +595,7 @@ mod tests {
         ])
         .unwrap();
         let b = vec![1.0, 1.0, 1.0];
-        let r = nomp(&a, &b, opts(2)).unwrap();
+        let r = nomp(&a, &b, 2).unwrap();
         assert!(r.support.len() <= 2);
         assert!(r.sq_residual > 0.9); // one coordinate must remain unexplained
     }
@@ -620,7 +604,7 @@ mod tests {
     fn solution_is_nonnegative() {
         let a = Matrix::from_rows(&[vec![1.0, -1.0], vec![1.0, 1.0]]).unwrap();
         let b = vec![2.0, 0.0];
-        let r = nomp(&a, &b, opts(2)).unwrap();
+        let r = nomp(&a, &b, 2).unwrap();
         assert!(r.x.iter().all(|&v| v >= 0.0), "x = {:?}", r.x);
     }
 
@@ -628,7 +612,7 @@ mod tests {
     fn zero_budget_is_an_error() {
         let a = Matrix::identity(2);
         assert!(matches!(
-            path(&a, &[1.0, 1.0], opts(0)),
+            path(&a, &[1.0, 1.0], 0),
             Err(LinalgError::InvalidArgument(_))
         ));
     }
@@ -636,7 +620,7 @@ mod tests {
     #[test]
     fn rejects_bad_rhs() {
         let a = Matrix::identity(2);
-        assert!(path(&a, &[1.0], opts(1)).is_err());
+        assert!(path(&a, &[1.0], 1).is_err());
     }
 
     #[test]
@@ -644,22 +628,22 @@ mod tests {
         let mut a = Matrix::identity(2);
         a[(0, 0)] = f64::NAN;
         for r in [
-            nomp(&a, &[1.0, 1.0], opts(1)).map(|r| r.x),
-            nomp_reference(&a, &[1.0, 1.0], opts(1)).map(|r| r.x),
+            nomp(&a, &[1.0, 1.0], 1).map(|r| r.x),
+            nomp_reference(&a, &[1.0, 1.0], 1).map(|r| r.x),
         ] {
             assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
         }
         let a = Matrix::identity(2);
         for r in [
-            nomp(&a, &[1.0, f64::NAN], opts(1)).map(|r| r.x),
-            nomp_reference(&a, &[f64::INFINITY, 1.0], opts(1)).map(|r| r.x),
+            nomp(&a, &[1.0, f64::NAN], 1).map(|r| r.x),
+            nomp_reference(&a, &[f64::INFINITY, 1.0], 1).map(|r| r.x),
         ] {
             assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
         }
         // Sparse design matrices are scanned through the same norm pass.
         let bad = CscMatrix::from_columns(2, vec![vec![(0, f64::INFINITY)], vec![(1, 1.0)]]);
         assert!(matches!(
-            nomp(&bad, &[1.0, 1.0], opts(1)),
+            nomp(&bad, &[1.0, 1.0], 1),
             Err(LinalgError::NonFinite { .. })
         ));
     }
@@ -670,7 +654,7 @@ mod tests {
         // correlation, so the support stays empty and x = 0.
         let a = Matrix::from_rows(&[vec![-1.0, -2.0], vec![-1.0, -2.0]]).unwrap();
         let b = vec![1.0, 1.0];
-        let r = nomp(&a, &b, opts(2)).unwrap();
+        let r = nomp(&a, &b, 2).unwrap();
         assert!(r.support.is_empty());
         assert!(r.x.iter().all(|&v| v == 0.0));
         assert!((r.sq_residual - 2.0).abs() < 1e-12);
@@ -680,7 +664,7 @@ mod tests {
     fn zero_columns_are_skipped() {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
         let b = vec![1.0, 1.0];
-        let r = nomp(&a, &b, opts(2)).unwrap();
+        let r = nomp(&a, &b, 2).unwrap();
         assert_eq!(r.support, vec![1]);
     }
 
@@ -688,7 +672,7 @@ mod tests {
     fn duplicate_columns_pick_one() {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
         let b = vec![3.0, 3.0];
-        let r = nomp(&a, &b, opts(2)).unwrap();
+        let r = nomp(&a, &b, 2).unwrap();
         // Either column alone explains b.
         assert!(r.sq_residual < 1e-10);
     }
@@ -702,9 +686,9 @@ mod tests {
         ])
         .unwrap();
         let b = vec![1.0, 0.8, 0.6];
-        let r1 = nomp(&a, &b, opts(1)).unwrap();
-        let r2 = nomp(&a, &b, opts(2)).unwrap();
-        let r3 = nomp(&a, &b, opts(3)).unwrap();
+        let r1 = nomp(&a, &b, 1).unwrap();
+        let r2 = nomp(&a, &b, 2).unwrap();
+        let r3 = nomp(&a, &b, 3).unwrap();
         assert!(r2.sq_residual <= r1.sq_residual + 1e-12);
         assert!(r3.sq_residual <= r2.sq_residual + 1e-12);
     }
@@ -751,10 +735,10 @@ mod tests {
         for seed in 1..=8u64 {
             let (a, b) = random_instance(12, 9, seed);
             let lmax = 6;
-            let path = path(&a, &b, opts(lmax)).unwrap();
+            let path = path(&a, &b, lmax).unwrap();
             assert_eq!(path.len(), lmax);
             for l in 1..=lmax {
-                let single = nomp(&a, &b, opts(l)).unwrap();
+                let single = nomp(&a, &b, l).unwrap();
                 assert_eq!(single.support, path[l - 1].support, "seed {seed} l {l}");
                 assert_eq!(single.x, path[l - 1].x, "seed {seed} l {l}");
                 assert_eq!(
@@ -771,8 +755,8 @@ mod tests {
         for seed in 1..=4u64 {
             let (a, b) = random_instance(15, 10, seed);
             let sp = CscMatrix::from_dense(&a, 0.0);
-            let dense_path = path(&a, &b, opts(5)).unwrap();
-            let sparse_path = path(&sp, &b, opts(5)).unwrap();
+            let dense_path = path(&a, &b, 5).unwrap();
+            let sparse_path = path(&sp, &b, 5).unwrap();
             for (d, s) in dense_path.iter().zip(sparse_path.iter()) {
                 assert_eq!(d.support, s.support);
                 assert_eq!(d.x, s.x);
@@ -787,8 +771,8 @@ mod tests {
         for seed in 1..=10u64 {
             let (a, b) = random_instance(14, 11, seed);
             for l in [1, 3, 5] {
-                let fast = nomp(&a, &b, opts(l)).unwrap();
-                let slow = nomp_reference(&a, &b, opts(l)).unwrap();
+                let fast = nomp(&a, &b, l).unwrap();
+                let slow = nomp_reference(&a, &b, l).unwrap();
                 assert_eq!(fast.support, slow.support, "seed {seed} l {l}");
                 for (xf, xs) in fast.x.iter().zip(slow.x.iter()) {
                     assert!((xf - xs).abs() < 1e-10, "seed {seed} l {l}: {xf} vs {xs}");
@@ -803,13 +787,13 @@ mod tests {
         let mut ws = NompWorkspace::new();
         let (a1, b1) = random_instance(10, 8, 3);
         let (a2, b2) = random_instance(6, 12, 4);
-        let fresh1 = path(&a1, &b1, opts(4)).unwrap();
-        let fresh2 = path(&a2, &b2, opts(4)).unwrap();
+        let fresh1 = path(&a1, &b1, 4).unwrap();
+        let fresh2 = path(&a2, &b2, 4).unwrap();
         // Interleave differently shaped problems through one workspace.
         let ctl = SolveCtl::default();
-        let reused1 = nomp_path(&a1, &b1, opts(4), &mut ws, ctl).unwrap();
-        let reused2 = nomp_path(&a2, &b2, opts(4), &mut ws, ctl).unwrap();
-        let reused1_again = nomp_path(&a1, &b1, opts(4), &mut ws, ctl).unwrap();
+        let reused1 = nomp_path(&a1, &b1, 4, &mut ws, ctl).unwrap();
+        let reused2 = nomp_path(&a2, &b2, 4, &mut ws, ctl).unwrap();
+        let reused1_again = nomp_path(&a1, &b1, 4, &mut ws, ctl).unwrap();
         assert_paths_bit_equal(&fresh1, &reused1, "first reuse");
         assert_paths_bit_equal(&fresh2, &reused2, "shape switch");
         assert_paths_bit_equal(&fresh1, &reused1_again, "back again");
@@ -822,7 +806,7 @@ mod tests {
         let mut counted = 0;
         for seed in 1..=4u64 {
             let (a, b) = random_instance(12, 9, seed);
-            nomp_path(&a, &b, opts(5), &mut ws, SolveCtl::metered(Some(&metrics))).unwrap();
+            nomp_path(&a, &b, 5, &mut ws, SolveCtl::metered(Some(&metrics))).unwrap();
             counted += ws.iterations();
             assert_eq!(counted, metrics.snapshot().nomp_iterations, "seed {seed}");
         }
@@ -832,7 +816,7 @@ mod tests {
     fn path_budgets_beyond_column_count_saturate() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let b = vec![1.0, 1.0];
-        let path = path(&a, &b, opts(5)).unwrap();
+        let path = path(&a, &b, 5).unwrap();
         assert_eq!(path.len(), 5);
         // Budgets 2..=5 all saturate at the full 2-column support.
         for l in 2..=5 {

@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use comparesets_linalg::{nomp_path, CscMatrix, Matrix, NompOptions, NompResult, NompWorkspace};
+use comparesets_linalg::{nomp_path, CscMatrix, Matrix, NompResult, NompWorkspace};
 use comparesets_obs::SolveCtl;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -36,9 +36,16 @@ fn instance(rows: usize, cols: usize, density: f64, seed: u64) -> (Matrix, Vec<f
 fn path<M: comparesets_linalg::DesignMatrix>(
     a: &M,
     b: &[f64],
-    opts: NompOptions,
+    max_atoms: usize,
 ) -> Vec<NompResult> {
-    nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default()).unwrap()
+    nomp_path(
+        a,
+        b,
+        max_atoms,
+        &mut NompWorkspace::new(),
+        SolveCtl::default(),
+    )
+    .unwrap()
 }
 
 fn assert_paths_bit_identical(dense: &[NompResult], sparse: &[NompResult], what: &str) {
@@ -63,9 +70,9 @@ fn cold_paths_agree_bitwise_across_densities() {
     for (i, &density) in DENSITIES.iter().enumerate() {
         let (a, b) = instance(48, 24, density, 0xC0FFEE + i as u64);
         let csc = CscMatrix::from_dense(&a, 0.0);
-        let opts = NompOptions::with_max_atoms(5);
-        let dense = path(&a, &b, opts);
-        let sparse = path(&csc, &b, opts);
+        let max_atoms = 5;
+        let dense = path(&a, &b, max_atoms);
+        let sparse = path(&csc, &b, max_atoms);
         assert_paths_bit_identical(&dense, &sparse, &format!("density {density}"));
     }
 }
@@ -78,15 +85,15 @@ fn reused_workspace_paths_agree_bitwise_across_densities_and_reruns() {
     for (i, &density) in DENSITIES.iter().enumerate() {
         let (a, b) = instance(48, 24, density, 0xBEEF + i as u64);
         let csc = CscMatrix::from_dense(&a, 0.0);
-        let opts = NompOptions::with_max_atoms(5);
+        let max_atoms = 5;
         let (mut ws_d, mut ws_s) = (NompWorkspace::new(), NompWorkspace::new());
 
         // Re-solve thrice: a target, a nudged target, then the first again.
         let nudged: Vec<f64> = b.iter().map(|v| v + 0.25).collect();
         for target in [&b, &nudged, &b] {
-            let fresh = path(&a, target, opts);
-            let d = nomp_path(&a, target, opts, &mut ws_d, SolveCtl::default()).unwrap();
-            let s = nomp_path(&csc, target, opts, &mut ws_s, SolveCtl::default()).unwrap();
+            let fresh = path(&a, target, max_atoms);
+            let d = nomp_path(&a, target, max_atoms, &mut ws_d, SolveCtl::default()).unwrap();
+            let s = nomp_path(&csc, target, max_atoms, &mut ws_s, SolveCtl::default()).unwrap();
             assert_paths_bit_identical(&fresh, &d, &format!("density {density} reused-dense"));
             assert_paths_bit_identical(&d, &s, &format!("density {density} reused-sparse"));
         }

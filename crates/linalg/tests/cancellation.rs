@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used)]
 
 use comparesets_linalg::{
-    nnls_gram_capped, nnls_gram_capped_ctl, nomp_path, Matrix, NompOptions, NompWorkspace,
+    nnls_gram_capped, nnls_gram_capped_ctl, nomp_path, Matrix, NompWorkspace,
 };
 use comparesets_obs::{CancelToken, SolveCtl, SolverMetrics};
 
@@ -39,14 +39,7 @@ fn cancelled_at_entry_returns_feasible_empty_path() {
     let token = CancelToken::new();
     token.cancel();
     let mut ws = NompWorkspace::new();
-    let path = nomp_path(
-        &a,
-        &b,
-        NompOptions::with_max_atoms(4),
-        &mut ws,
-        SolveCtl::new(None, Some(&token)),
-    )
-    .unwrap();
+    let path = nomp_path(&a, &b, 4, &mut ws, SolveCtl::new(None, Some(&token))).unwrap();
     // Every budget gets the entry state: empty support, zero coefficients,
     // residual = ‖b‖².
     assert_eq!(path.len(), 4);
@@ -61,15 +54,15 @@ fn cancelled_at_entry_returns_feasible_empty_path() {
 #[test]
 fn never_firing_token_is_bit_identical_to_tokenless_path() {
     let (a, b) = instance();
-    let opts = NompOptions::with_max_atoms(6);
+    let max_atoms = 6;
     let mut ws = NompWorkspace::new();
-    let plain = nomp_path(&a, &b, opts, &mut ws, SolveCtl::default()).unwrap();
+    let plain = nomp_path(&a, &b, max_atoms, &mut ws, SolveCtl::default()).unwrap();
 
     let token = CancelToken::new();
     let metrics = SolverMetrics::new();
     let mut ws2 = NompWorkspace::new();
     let ctl = SolveCtl::new(Some(&metrics), Some(&token));
-    let with_token = nomp_path(&a, &b, opts, &mut ws2, ctl).unwrap();
+    let with_token = nomp_path(&a, &b, max_atoms, &mut ws2, ctl).unwrap();
 
     assert_eq!(plain.len(), with_token.len());
     for (p, t) in plain.iter().zip(with_token.iter()) {
@@ -85,9 +78,9 @@ fn never_firing_token_is_bit_identical_to_tokenless_path() {
 #[test]
 fn mid_pursuit_cancellation_is_a_prefix_of_the_full_trajectory() {
     let (a, b) = instance();
-    let opts = NompOptions::with_max_atoms(6);
+    let max_atoms = 6;
     let mut ws = NompWorkspace::new();
-    let full = nomp_path(&a, &b, opts, &mut ws, SolveCtl::default()).unwrap();
+    let full = nomp_path(&a, &b, max_atoms, &mut ws, SolveCtl::default()).unwrap();
 
     // Count the total polls of an uncancelled run, then replay every
     // possible kill point. cancel_after(k) pins the poll budget exactly.
@@ -97,7 +90,7 @@ fn mid_pursuit_cancellation_is_a_prefix_of_the_full_trajectory() {
     nomp_path(
         &a,
         &b,
-        opts,
+        max_atoms,
         &mut ws_probe,
         SolveCtl::new(Some(&metrics), Some(&probe)),
     )
@@ -108,7 +101,14 @@ fn mid_pursuit_cancellation_is_a_prefix_of_the_full_trajectory() {
     for k in 0..=total_checks {
         let token = CancelToken::cancel_after(k);
         let mut ws_k = NompWorkspace::new();
-        let path = nomp_path(&a, &b, opts, &mut ws_k, SolveCtl::new(None, Some(&token))).unwrap();
+        let path = nomp_path(
+            &a,
+            &b,
+            max_atoms,
+            &mut ws_k,
+            SolveCtl::new(None, Some(&token)),
+        )
+        .unwrap();
         assert_eq!(path.len(), full.len());
         for (l, r) in path.iter().enumerate() {
             // Feasibility: non-negative coefficients within the budget.

@@ -17,8 +17,8 @@ use comparesets_linalg::{
     cholesky::{solve_normal_equations, Cholesky},
     lstsq, nnls, nnls_capped, nnls_gram, nnls_gram_capped, nomp_reference,
     qr::Qr,
-    solve_gram_system, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions, NompResult,
-    NompWorkspace, SolveError,
+    solve_gram_system, CscMatrix, DesignMatrix, LinalgError, Matrix, NompResult, NompWorkspace,
+    SolveError,
 };
 use comparesets_obs::SolveCtl;
 
@@ -26,14 +26,20 @@ use comparesets_obs::SolveCtl;
 fn nomp_path<M: DesignMatrix>(
     a: &M,
     b: &[f64],
-    opts: NompOptions,
+    max_atoms: usize,
 ) -> Result<Vec<NompResult>, LinalgError> {
-    comparesets_linalg::nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+    comparesets_linalg::nomp_path(
+        a,
+        b,
+        max_atoms,
+        &mut NompWorkspace::new(),
+        SolveCtl::default(),
+    )
 }
 
-/// The result at budget `opts.max_atoms`: the last entry of its path.
-fn nomp<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<NompResult, LinalgError> {
-    let mut path = nomp_path(a, b, opts)?;
+/// The result at budget `max_atoms`: the last entry of its path.
+fn nomp<M: DesignMatrix>(a: &M, b: &[f64], max_atoms: usize) -> Result<NompResult, LinalgError> {
+    let mut path = nomp_path(a, b, max_atoms)?;
     Ok(path.pop().expect("a path has max_atoms > 0 entries"))
 }
 
@@ -58,7 +64,7 @@ fn every_entry_point_classifies_non_finite_matrices() {
     for bad in specials() {
         let a = contaminated(4, 3, 2, 1, bad);
         let b = vec![1.0; 4];
-        let opts = NompOptions::with_max_atoms(2);
+        let max_atoms = 2;
 
         assert!(matches!(nnls(&a, &b), Err(SolveError::NonFinite { .. })));
         assert!(matches!(
@@ -66,15 +72,15 @@ fn every_entry_point_classifies_non_finite_matrices() {
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nomp(&a, &b, opts),
+            nomp(&a, &b, max_atoms),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nomp_path(&a, &b, opts),
+            nomp_path(&a, &b, max_atoms),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nomp_reference(&a, &b, opts),
+            nomp_reference(&a, &b, max_atoms),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(lstsq(&a, &b), Err(SolveError::NonFinite { .. })));
@@ -106,15 +112,15 @@ fn every_entry_point_classifies_non_finite_rhs() {
         let a = contaminated(4, 3, 0, 0, 2.0); // fully finite
         let mut b = vec![1.0; 4];
         b[3] = bad;
-        let opts = NompOptions::with_max_atoms(2);
+        let max_atoms = 2;
 
         assert!(matches!(nnls(&a, &b), Err(SolveError::NonFinite { .. })));
         assert!(matches!(
-            nomp(&a, &b, opts),
+            nomp(&a, &b, max_atoms),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nomp_reference(&a, &b, opts),
+            nomp_reference(&a, &b, max_atoms),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(lstsq(&a, &b), Err(SolveError::NonFinite { .. })));
@@ -142,7 +148,7 @@ fn sparse_design_matrices_are_scanned_too() {
     for bad in specials() {
         let s = CscMatrix::from_columns(3, vec![vec![(0, 1.0)], vec![(1, bad)], vec![(2, 2.0)]]);
         assert!(!s.is_finite());
-        let r = nomp(&s, &[1.0, 1.0, 1.0], NompOptions::with_max_atoms(2));
+        let r = nomp(&s, &[1.0, 1.0, 1.0], 2);
         assert!(matches!(r, Err(SolveError::NonFinite { .. })));
     }
 }
@@ -151,7 +157,7 @@ fn sparse_design_matrices_are_scanned_too() {
 fn all_zero_design_succeeds_with_empty_selection() {
     let a = Matrix::zeros(5, 4);
     let b = vec![1.0, -2.0, 0.5, 0.0, 3.0];
-    let r = nomp(&a, &b, NompOptions::with_max_atoms(3)).unwrap();
+    let r = nomp(&a, &b, 3).unwrap();
     assert!(r.support.is_empty());
     assert!(r.x.iter().all(|&v| v == 0.0));
     let x = nnls(&a, &b).unwrap();
@@ -178,7 +184,7 @@ fn rank_deficient_designs_survive_the_degradation_ladder() {
     assert!(diag.iterations >= 1);
 
     for budget in 1..=4 {
-        let r = nomp(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let r = nomp(&a, &b, budget).unwrap();
         assert!(r.x.iter().all(|&v| v >= 0.0));
         assert!(r.sq_residual.is_finite());
     }
@@ -220,7 +226,7 @@ fn ill_conditioned_design_still_selects() {
     ])
     .unwrap();
     let b = vec![1.0, 1.0, 1.0];
-    let r = nomp(&a, &b, NompOptions::with_max_atoms(3)).unwrap();
+    let r = nomp(&a, &b, 3).unwrap();
     assert!(r.sq_residual.is_finite());
     assert!(r.x.iter().all(|v| v.is_finite() && *v >= 0.0));
 }
@@ -233,7 +239,7 @@ fn shape_faults_classify_as_dimension_mismatch() {
         Err(SolveError::DimensionMismatch { .. })
     ));
     assert!(matches!(
-        nomp(&a, &[1.0], NompOptions::with_max_atoms(1)),
+        nomp(&a, &[1.0], 1),
         Err(SolveError::DimensionMismatch { .. })
     ));
     assert!(matches!(

@@ -6,8 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    nomp_path, solve_gram_system_with, CscMatrix, DesignMatrix, Matrix, NompOptions, NompResult,
-    NompWorkspace,
+    nomp_path, solve_gram_system_with, CscMatrix, DesignMatrix, Matrix, NompResult, NompWorkspace,
 };
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
@@ -19,7 +18,7 @@ fn metered_path<M: DesignMatrix>(
     metrics: &SolverMetrics,
 ) -> Vec<NompResult> {
     let ctl = SolveCtl::metered(Some(metrics));
-    nomp_path(a, b, NompOptions::with_max_atoms(2), ws, ctl).unwrap()
+    nomp_path(a, b, 2, ws, ctl).unwrap()
 }
 
 /// Orthogonal 2×2 design with both target components positive: the
@@ -65,14 +64,7 @@ fn metered_pursuit_returns_the_unmetered_result() {
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
     let metered = metered_path(&a, &b, &mut ws, &metrics);
-    let plain = nomp_path(
-        &a,
-        &b,
-        NompOptions::with_max_atoms(2),
-        &mut NompWorkspace::new(),
-        SolveCtl::default(),
-    )
-    .unwrap();
+    let plain = nomp_path(&a, &b, 2, &mut NompWorkspace::new(), SolveCtl::default()).unwrap();
     assert_eq!(metered.len(), plain.len());
     for (m, p) in metered.iter().zip(plain.iter()) {
         assert_eq!(m.support, p.support);

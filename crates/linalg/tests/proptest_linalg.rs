@@ -4,7 +4,7 @@
 
 use comparesets_linalg::{
     lstsq, nnls, nnls_capped, nnls_gram, nomp_reference, CscMatrix, DesignMatrix, LinalgError,
-    Matrix, NompOptions, NompResult, NompWorkspace,
+    Matrix, NompResult, NompWorkspace,
 };
 use comparesets_obs::SolveCtl;
 use proptest::prelude::*;
@@ -13,14 +13,20 @@ use proptest::prelude::*;
 fn nomp_path<M: DesignMatrix>(
     a: &M,
     b: &[f64],
-    opts: NompOptions,
+    max_atoms: usize,
 ) -> Result<Vec<NompResult>, LinalgError> {
-    comparesets_linalg::nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+    comparesets_linalg::nomp_path(
+        a,
+        b,
+        max_atoms,
+        &mut NompWorkspace::new(),
+        SolveCtl::default(),
+    )
 }
 
-/// The result at budget `opts.max_atoms`: the last entry of its path.
-fn nomp<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<NompResult, LinalgError> {
-    let mut path = nomp_path(a, b, opts)?;
+/// The result at budget `max_atoms`: the last entry of its path.
+fn nomp<M: DesignMatrix>(a: &M, b: &[f64], max_atoms: usize) -> Result<NompResult, LinalgError> {
+    let mut path = nomp_path(a, b, max_atoms)?;
     Ok(path.pop().expect("a path has max_atoms > 0 entries"))
 }
 
@@ -151,7 +157,7 @@ proptest! {
         (a, b) in matrix_and_rhs(),
         budget in 1usize..=4,
     ) {
-        let r = nomp(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let r = nomp(&a, &b, budget).unwrap();
         prop_assert!(r.support.len() <= budget);
         prop_assert!(r.x.iter().all(|&v| v >= 0.0));
         let nnz = r.x.iter().filter(|&&v| v > 0.0).count();
@@ -179,8 +185,8 @@ proptest! {
     #[test]
     fn sparse_and_dense_nomp_agree((a, b) in matrix_and_rhs(), budget in 1usize..=4) {
         let sparse = CscMatrix::from_dense(&a, 0.0);
-        let rd = nomp(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
-        let rs = nomp(&sparse, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let rd = nomp(&a, &b, budget).unwrap();
+        let rs = nomp(&sparse, &b, budget).unwrap();
         prop_assert_eq!(&rd.support, &rs.support);
         for (x, y) in rd.x.iter().zip(rs.x.iter()) {
             prop_assert!((x - y).abs() < 1e-9);
@@ -249,8 +255,8 @@ proptest! {
             prop_assert_eq!(p.to_bits(), q.to_bits());
         }
         // And the full shared pursuit on top of those primitives.
-        let pd = nomp_path(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
-        let ps = nomp_path(&s, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let pd = nomp_path(&a, &b, budget).unwrap();
+        let ps = nomp_path(&s, &b, budget).unwrap();
         prop_assert_eq!(pd.len(), ps.len());
         for (d, sp) in pd.iter().zip(ps.iter()) {
             prop_assert_eq!(&d.support, &sp.support);
@@ -266,8 +272,8 @@ proptest! {
         // The Gram-cached engine must track the naive recompute-everything
         // reference implementation to within numerical noise: identical
         // support sets, coefficients and residuals within 1e-10.
-        let fast = nomp(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
-        let slow = nomp_reference(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let fast = nomp(&a, &b, budget).unwrap();
+        let slow = nomp_reference(&a, &b, budget).unwrap();
         prop_assert_eq!(&fast.support, &slow.support);
         for (x, y) in fast.x.iter().zip(slow.x.iter()) {
             prop_assert!((x - y).abs() < 1e-10, "coef {} vs {}", x, y);
@@ -282,10 +288,10 @@ proptest! {
     fn shared_path_matches_standalone_pursuits((a, b) in matrix_and_rhs(), l_max in 1usize..=4) {
         // One shared pursuit to l_max must reproduce every standalone
         // budget-l run bit for bit (the tentpole's path-sharing claim).
-        let path = nomp_path(&a, &b, NompOptions::with_max_atoms(l_max)).unwrap();
+        let path = nomp_path(&a, &b, l_max).unwrap();
         prop_assert_eq!(path.len(), l_max);
         for (l, shared) in path.iter().enumerate() {
-            let solo = nomp(&a, &b, NompOptions::with_max_atoms(l + 1)).unwrap();
+            let solo = nomp(&a, &b, l + 1).unwrap();
             prop_assert_eq!(&shared.support, &solo.support);
             prop_assert_eq!(&shared.x, &solo.x);
             prop_assert_eq!(shared.sq_residual.to_bits(), solo.sq_residual.to_bits());
@@ -301,14 +307,14 @@ proptest! {
         // when the instance actually contains NaN/Inf every solver must
         // classify it as NonFinite.
         let has_bad = !a.is_finite() || b.iter().any(|v| !v.is_finite());
-        let opts = NompOptions::with_max_atoms(budget);
+        let max_atoms = budget;
         let results = [
             nnls(&a, &b).map(|_| ()),
             nnls_gram(&a.gram(), &a.tr_matvec(&b).unwrap_or_else(|_| vec![0.0; a.cols()]))
                 .map(|_| ()),
-            nomp(&a, &b, opts).map(|_| ()),
-            nomp_path(&a, &b, opts).map(|_| ()),
-            nomp_reference(&a, &b, opts).map(|_| ()),
+            nomp(&a, &b, max_atoms).map(|_| ()),
+            nomp_path(&a, &b, max_atoms).map(|_| ()),
+            nomp_reference(&a, &b, max_atoms).map(|_| ()),
             lstsq(&a, &b).map(|_| ()),
         ];
         if has_bad {
@@ -337,7 +343,7 @@ proptest! {
         let (x, diag) = nnls_capped(&a, &b).unwrap();
         prop_assert!(x.iter().all(|&v| v >= 0.0));
         prop_assert!(diag.iterations >= 1);
-        let r = nomp(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let r = nomp(&a, &b, budget).unwrap();
         prop_assert!(r.x.iter().all(|&v| v >= 0.0));
         prop_assert!(r.sq_residual.is_finite());
     }

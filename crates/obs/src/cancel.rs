@@ -162,9 +162,9 @@ impl<'a> SolveCtl<'a> {
         SolveCtl { metrics, cancel }
     }
 
-    /// Poll the token (if any), counting the poll in
-    /// `cancellation_checks` (if a collector is installed). Absent token:
-    /// one pointer check, no atomics, always false.
+    /// Poll the token (if any), counting the poll in the collector (if
+    /// one is installed). Absent token: one pointer check, no atomics,
+    /// always false.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
         match self.cancel {

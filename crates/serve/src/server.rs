@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 
 /// Server tuning knobs. Everything here is operational — no setting
 /// changes what a completed (non-degraded) solve returns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Soft cap on concurrently running solves; the request that pushes
     /// the count past this gets the overload deadline instead of the

@@ -205,7 +205,7 @@ stream-smoke:
 
 # Graph solver smoke: one-sample run of the TargetHkS scaling bench
 # (smoke mode never rewrites BENCH_targethks.json), then an end-to-end
-# parallel exact narrowing through the CLI requiring nonzero v6
+# parallel exact narrowing through the CLI requiring nonzero
 # branch-and-bound counters in the metrics report (mirrors the
 # "Graph smoke" CI step).
 graph-smoke:
