@@ -37,19 +37,23 @@ commands:
                   [--error-budget N]   tolerate up to N malformed JSON-lines (default 0)
   select          --corpus FILE --target ID [--m N] [--lambda X] [--mu X]
                   [--algorithm random|crs|greedy|comparesets|comparesets+]
-                  [--max-comparatives N] [--scheme binary|3-polarity|unary-scale] [--seed S]
-                  [--warm-start false] solve every sweep from scratch (selection-invariant)
+                  [--max-comparatives N] [--scheme binary|3-polarity|unary-scale]
+                  [--seed S]           sampling seed of --algorithm random (default 42)
                   [--strict true]      fail (exit 5) instead of degrading on numerical faults
   narrow          --corpus FILE --target ID [--k N] [--method exact|greedy|topk|random|peel]
                   [--m N] [--lambda X] [--mu X] [--max-comparatives N]
-                  [--seed S] [--warm-start false]
+                  [--seed S]           sampling seed of --method random (default 42)
                   [--threads N]        branch-and-bound workers for --method exact (default 1)
                   [--time-limit-ms N]  budget of --method exact (default 60000)
   eval            [--out FILE] [--config tiny|default] [--scale N] [--experiments a,b,...]
-                  [--checkpoint-dir DIR] [--resume true] [--warm-start false]
-                  run the reproduction suite (--scale N grows the default
-                  config only); the deterministic report (no wall-clock
-                  lines) is written atomically to --out
+                  [--checkpoint-dir DIR] [--resume true]
+                  run the reproduction suite: the paper's tables and
+                  figures, or the named experiments (ablation and scaling
+                  run only when named); --scale N grows the default config
+                  only. Prints every experiment's output, then a summary;
+                  with --out, the deterministic report (no wall-clock
+                  lines) is written atomically there and only the summary
+                  is printed. Exits 1 if any experiment failed
   serve           --corpus FILE[,FILE...] [--addr HOST:PORT] [--workers N]
                   [--cache-capacity N] [--request-timeout SECS]
                   [--overload-timeout-ms N] [--max-requests N]
@@ -123,18 +127,17 @@ const COMMANDS: [(&str, Command, &str); 9] = [
     (
         "select",
         cmd_select,
-        "corpus target m lambda mu algorithm max-comparatives scheme seed warm-start timeout strict",
+        "corpus target m lambda mu algorithm max-comparatives scheme seed timeout strict",
     ),
     (
         "narrow",
         cmd_narrow,
-        "corpus target k method m lambda mu max-comparatives time-limit-ms seed warm-start timeout \
-         threads",
+        "corpus target k method m lambda mu max-comparatives time-limit-ms seed timeout threads",
     ),
     (
         "eval",
         cmd_eval,
-        "out scale config experiments checkpoint-dir resume warm-start timeout",
+        "out scale config experiments checkpoint-dir resume timeout",
     ),
     (
         "serve",
@@ -401,19 +404,27 @@ fn timeout_token(args: &Args) -> Result<Option<Arc<CancelToken>>, String> {
     ))))
 }
 
-/// Parse `--warm-start BOOL` / `--timeout SECS` into [`SolveOptions`].
-/// The optional `--metrics-json` collector only observes, never steers.
-/// Warm starts default on and are selection-invariant —
-/// `--warm-start false` forces every alternating sweep to solve from
-/// scratch (the cold baseline the `alternation/*` benches compare
-/// against). A timeout arms a cooperative deadline: iterative solvers
-/// stop at their next cancellation check.
+/// Parse `--timeout SECS` into [`SolveOptions`] (warm starts on, as by
+/// default). The optional `--metrics-json` collector only observes,
+/// never steers. A timeout arms a cooperative deadline: iterative
+/// solvers stop at their next cancellation check.
 fn solve_options(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<SolveOptions, String> {
     Ok(SolveOptions {
-        warm_start: args.get_or("warm-start", true)?,
         metrics,
         cancel: timeout_token(args)?,
+        ..SolveOptions::default()
     })
+}
+
+/// `--seed` steers only the random branch of a command: anywhere else it
+/// would be silently ignored, so it is a usage error there.
+fn seed_flag(args: &Args, command: &str, branch: &str, random: bool) -> Result<u64, CliError> {
+    if !random && args.get("seed").is_some() {
+        return Err(CliError::usage(format!(
+            "{command} {branch} does not take --seed (only the random one does)"
+        )));
+    }
+    Ok(args.get_or("seed", 42)?)
 }
 
 /// Run the solve in strict mode: any per-item numerical failure aborts
@@ -445,10 +456,16 @@ fn cmd_select(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
         return Err(CliError::usage("missing required flag --target"));
     }
     let max_comp: usize = args.get_or("max-comparatives", 12)?;
-    let algorithm = parse_algorithm(args.get("algorithm").unwrap_or("comparesets+"))?;
+    let algorithm_name = args.get("algorithm").unwrap_or("comparesets+");
+    let algorithm = parse_algorithm(algorithm_name)?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("binary"))?;
     let params = select_params(args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
+    let seed = seed_flag(
+        args,
+        "select",
+        &format!("--algorithm {algorithm_name}"),
+        algorithm == Algorithm::Random,
+    )?;
     let opts = solve_options(args, metrics.clone())?;
     let strict: bool = args.get_or("strict", false)?;
     let dataset = load_corpus(args.require("corpus")?, metrics.as_ref())?;
@@ -510,9 +527,14 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
             )));
         }
     }
+    let seed = seed_flag(
+        args,
+        "narrow",
+        &format!("--method {method}"),
+        method == "random",
+    )?;
     let max_comp: usize = args.get_or("max-comparatives", 12)?;
     let params = select_params(args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
     let opts = solve_options(args, metrics.clone())?;
     // --timeout and --metrics-json reach the graph solve too.
     let exact_default = ExactOptions::default();
@@ -807,10 +829,13 @@ fn cmd_chaos(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String
 }
 
 /// Run the reproduction suite (or a named subset) with optional
-/// crash-safe checkpointing, and write the deterministic report (no
-/// wall-clock lines, see `SuiteReport::render_stable`) atomically.
+/// crash-safe checkpointing. Without `--out` the command prints every
+/// experiment's output, then the summary; with it, the deterministic
+/// report (no wall-clock lines, see `SuiteReport::render_stable`) is
+/// written atomically there and only the summary is printed. A fired
+/// `--timeout` exits 6; otherwise a failed experiment exits 1.
 fn cmd_eval(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
-    use comparesets_eval::{run_suite, run_suite_checkpointed, standard_suite, CheckpointStore};
+    use comparesets_eval::{run_suite, select_experiments, CheckpointStore};
 
     let mut cfg = match args.get("config").unwrap_or("default") {
         "tiny" if args.get("scale").is_some() => {
@@ -826,30 +851,16 @@ fn cmd_eval(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, 
     };
     cfg.solve_options = solve_options(args, metrics)?;
     let token = cfg.solve_options.cancel.clone();
-
-    let mut suite = standard_suite();
-    if let Some(list) = args.get("experiments") {
-        let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
-        for name in &wanted {
-            if !suite.iter().any(|e| e.name == *name) {
-                return Err(CliError::usage(format!("unknown experiment {name:?}")));
-            }
-        }
-        suite.retain(|e| wanted.contains(&e.name));
-    }
+    let suite = select_experiments(args.get("experiments"))?;
 
     let resume: bool = args.get_or("resume", false)?;
-    let report = match args.get("checkpoint-dir") {
-        Some(dir) => {
-            let store = CheckpointStore::new(dir);
-            run_suite_checkpointed(&suite, &cfg, &store, resume)
-                .map_err(|e| CliError::io(format!("checkpointing in {dir}: {e}")))?
-        }
-        None if resume => {
-            return Err(CliError::usage("--resume needs --checkpoint-dir"));
-        }
-        None => run_suite(&suite, &cfg),
-    };
+    let dir = args.get("checkpoint-dir");
+    if resume && dir.is_none() {
+        return Err(CliError::usage("--resume needs --checkpoint-dir"));
+    }
+    let store = dir.map(CheckpointStore::new);
+    let report = run_suite(&suite, &cfg, store.as_ref(), resume)
+        .map_err(|e| CliError::io(format!("checkpointing in {}: {e}", dir.unwrap_or_default())))?;
 
     if let Some(out) = args.get("out") {
         corpus_io::write_atomic(Path::new(out), report.render_stable().as_bytes())
@@ -863,11 +874,39 @@ fn cmd_eval(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, 
             report.outcomes.len()
         )));
     }
-    let mut out = report.render_summary();
-    if let Some(path) = args.get("out") {
-        out.push_str(&format!("deterministic report written to {path}\n"));
+    eval_outcome(&report, args.get("out"))
+}
+
+/// What `eval` prints for a finished suite, and its verdict: every
+/// experiment's output then the summary (only the summary when the
+/// report went to `out`), and an internal error (exit 1) naming the
+/// failed experiments when any failed.
+fn eval_outcome(
+    report: &comparesets_eval::SuiteReport,
+    out: Option<&str>,
+) -> Result<String, CliError> {
+    let printed = match out {
+        Some(path) => format!(
+            "{}deterministic report written to {path}\n",
+            report.render_summary()
+        ),
+        None => report.render(),
+    };
+    let failed: Vec<&str> = report
+        .failures()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    if failed.is_empty() {
+        return Ok(printed);
     }
-    Ok(out)
+    Err(CliError::internal(format!(
+        "{}/{} experiments failed: {}",
+        failed.len(),
+        report.outcomes.len(),
+        failed.join(", ")
+    ))
+    .with_output(printed))
 }
 
 #[cfg(test)]
@@ -1070,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn option_flags_keep_output_and_unknown_flags_are_usage_errors() {
+    fn unknown_and_retired_flags_are_usage_errors() {
         let path = temp_corpus();
         run(&[
             "generate",
@@ -1092,9 +1131,6 @@ mod tests {
             .expect("corpus has instances")
             .to_string();
         let base = ["select", "--corpus", &path, "--target", target.as_str()];
-        let warm = run(&base).unwrap();
-        let cold = run(&[&base[..], &["--warm-start", "false"]].concat()).unwrap();
-        assert_eq!(warm, cold);
         // A misspelled flag, and the retired execution flags, are named
         // and rejected (exit 2) instead of silently running the defaults.
         for (name, value) in [
@@ -1102,6 +1138,7 @@ mod tests {
             ("backend", "dense"),
             ("parallel", "true"),
             ("threads", "2"),
+            ("warm-start", "false"),
         ] {
             let flag = format!("--{name}");
             let e = run(&[&base[..], &[flag.as_str(), value]].concat()).unwrap_err();
@@ -1125,8 +1162,17 @@ mod tests {
         // `narrow --threads` still sizes the exact branch-and-bound.
         let narrow = ["narrow", "--corpus", &path, "--target", target.as_str()];
         assert!(run(&[&narrow[..], &["--threads", "2"]].concat()).is_ok());
-        let e = run(&[&narrow[..], &["--lamda", "5"]].concat()).unwrap_err();
-        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
+        // The other commands that solve reject a misspelled flag and the
+        // retired warm-start switch the same way.
+        let eval = ["eval", "--config", "tiny"];
+        for command in [&narrow[..], &eval[..]] {
+            for name in ["lamda", "warm-start"] {
+                let flag = format!("--{name}");
+                let e = run(&[command, &[flag.as_str(), "false"]].concat()).unwrap_err();
+                assert_eq!(e.kind, ErrorKind::Usage, "{flag}: {e}");
+                assert!(e.to_string().contains(&flag), "{flag}: {e}");
+            }
+        }
     }
 
     #[test]
@@ -1302,9 +1348,43 @@ mod tests {
     }
 
     #[test]
+    fn eval_without_out_prints_each_experiment_then_the_summary() {
+        let printed = run(&["eval", "--config", "tiny", "--experiments", "table2"]).unwrap();
+        let table = printed.find("Table 2").expect("experiment text printed");
+        let summary = printed
+            .find("== suite summary: 1/1")
+            .expect("summary printed");
+        assert!(table < summary, "{printed}");
+    }
+
+    #[test]
+    fn a_failed_experiment_fails_eval_and_is_named() {
+        use comparesets_eval::{run_suite, EvalConfig, Experiment};
+
+        let suite = [
+            Experiment::new("fine", "completes", |_| "fine output".to_string()),
+            Experiment::new("boom", "panics", |_| panic!("injected failure")),
+        ];
+        let report = run_suite(&suite, &EvalConfig::tiny(), None, false).unwrap();
+        let e = eval_outcome(&report, None).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e}");
+        assert!(
+            e.to_string().contains("1/2 experiments failed: boom"),
+            "{e}"
+        );
+        // The report still reaches stdout, failure lines included.
+        assert!(e.output().contains("fine output"), "{}", e.output());
+        assert!(e.output().contains("FAILED boom: injected failure"));
+        let e = eval_outcome(&report, Some("report.txt")).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e}");
+        assert!(!e.output().contains("fine output"), "{}", e.output());
+    }
+
+    #[test]
     fn eval_flag_validation() {
         let e = run(&["eval", "--experiments", "tablezzz"]).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.to_string().contains("ablation, scaling"), "{e}");
         let e = run(&["eval", "--resume", "true"]).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Usage);
         assert!(e.to_string().contains("--checkpoint-dir"), "{e}");
@@ -1452,6 +1532,31 @@ mod tests {
             ErrorKind::Io,
             "the exact default takes --threads: {e}"
         );
+    }
+
+    #[test]
+    fn seed_outside_the_random_branch_is_a_usage_error() {
+        // The corpus does not exist: a usage error proves the check runs
+        // before the corpus is read, and an io error that the flag was
+        // accepted.
+        let corpus = ["--corpus", "/nonexistent/zz.json", "--target", "0"];
+        for (command, branch) in [
+            ("select", &[][..]),
+            ("select", &["--algorithm", "comparesets"][..]),
+            ("narrow", &[][..]),
+            ("narrow", &["--method", "greedy"][..]),
+        ] {
+            let argv = [&[command][..], &corpus, branch, &["--seed", "99"]].concat();
+            let e = run(&argv).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{argv:?}: {e}");
+            assert_eq!(e.exit_code(), 2, "{argv:?}");
+            assert!(e.to_string().contains("--seed"), "{argv:?}: {e}");
+        }
+        for (command, branch) in [("select", "--algorithm"), ("narrow", "--method")] {
+            let argv = [&[command][..], &corpus, &[branch, "random", "--seed", "99"]].concat();
+            let e = run(&argv).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Io, "{argv:?}: {e}");
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! |      |          | never retried; free space or remount, then rerun   |
 //!
 //! Every error prints as `error: <readable cause chain>` on stderr; usage
-//! errors additionally print the usage text.
+//! errors additionally print the usage text. Output the command produced
+//! before failing (the report of a suite with a failed experiment) goes
+//! to stdout first.
 
 /// Classification of a CLI failure, one exit code per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,69 +40,69 @@ pub enum ErrorKind {
     Disk,
 }
 
-/// A classified CLI error: what failed plus a readable cause.
+/// A classified CLI error: what failed plus a readable cause, and any
+/// output the command produced before it failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliError {
     /// Failure class, mapped 1:1 to the process exit code.
     pub kind: ErrorKind,
     message: String,
+    output: String,
 }
 
 impl CliError {
+    fn new(kind: ErrorKind, message: impl Into<String>) -> Self {
+        CliError {
+            kind,
+            message: message.into(),
+            output: String::new(),
+        }
+    }
+
     /// A usage error (exit 2).
     pub fn usage(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Usage,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Usage, message)
     }
 
     /// An IO error (exit 3).
     pub fn io(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Io,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Io, message)
     }
 
     /// A corrupt-data error (exit 4).
     pub fn data(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Data,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Data, message)
     }
 
     /// A solver error (exit 5).
     pub fn solver(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Solver,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Solver, message)
     }
 
     /// An internal error (exit 1).
     pub fn internal(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Internal,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Internal, message)
     }
 
     /// A deadline-expired error (exit 6).
     pub fn deadline(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Deadline,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Deadline, message)
     }
 
     /// A fatal disk-state error (exit 7): `ENOSPC`/`EROFS`.
     pub fn disk(message: impl Into<String>) -> Self {
-        CliError {
-            kind: ErrorKind::Disk,
-            message: message.into(),
-        }
+        Self::new(ErrorKind::Disk, message)
+    }
+
+    /// Attach what the command produced before it failed; `main` prints
+    /// it on stdout ahead of the error.
+    pub fn with_output(self, output: String) -> Self {
+        CliError { output, ..self }
+    }
+
+    /// The output attached by [`CliError::with_output`] (empty if none).
+    pub fn output(&self) -> &str {
+        &self.output
     }
 
     /// The process exit code for this error class.

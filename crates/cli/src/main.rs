@@ -43,6 +43,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
+            if !e.output().is_empty() {
+                let _ = writeln!(std::io::stdout(), "{}", e.output());
+            }
             eprintln!("error: {e}");
             if e.kind == ErrorKind::Usage {
                 eprintln!();

@@ -2,7 +2,7 @@
 //!
 //! A full reproduction pass can run for minutes to hours; a crash, OOM
 //! kill, or operator interrupt near the end used to cost the entire pass.
-//! [`run_suite_checkpointed`](crate::harness::run_suite_checkpointed)
+//! Given a [`CheckpointStore`], [`run_suite`](crate::harness::run_suite)
 //! persists a [`SuiteCheckpoint`] after every completed experiment, and a
 //! `--resume` run restores those outcomes instead of recomputing them —
 //! the resumed report is identical to the uninterrupted one because the
@@ -26,7 +26,6 @@
 //!   freeze the degradation into future runs. The resumed run recomputes
 //!   it from scratch.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -83,14 +82,6 @@ impl SuiteCheckpoint {
             code,
             experiments: Vec::new(),
         }
-    }
-
-    /// Index the persisted experiments by name.
-    pub fn by_name(&self) -> HashMap<&str, &ExperimentRecord> {
-        self.experiments
-            .iter()
-            .map(|r| (r.name.as_str(), r))
-            .collect()
     }
 }
 

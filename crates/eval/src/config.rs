@@ -5,7 +5,7 @@
 //! another. The harness defaults to a laptop-scale slice — a few hundred
 //! products per category and a bounded sample of instances — which
 //! preserves every comparison the paper draws. Scale up with
-//! [`EvalConfig::scaled`] or the `COMPARESETS_SCALE` environment variable
+//! [`EvalConfig::scaled`], which `comparesets eval --scale N` builds
 //! (1 = default, 10 ≈ paper-scale instance counts).
 
 use comparesets_core::{OpinionScheme, SolveOptions};
@@ -69,15 +69,6 @@ impl EvalConfig {
             max_instances: base.max_instances * factor,
             ..base
         }
-    }
-
-    /// Read the scale factor from `COMPARESETS_SCALE` (default 1).
-    pub fn from_env() -> Self {
-        let factor = std::env::var("COMPARESETS_SCALE")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(1);
-        Self::scaled(factor)
     }
 
     /// A small configuration for tests (fast but non-trivial). Instance

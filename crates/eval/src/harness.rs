@@ -5,7 +5,13 @@
 //! must not take the other ten down with it. [`run_suite`] executes each
 //! experiment behind a panic boundary, records the outcome, and returns a
 //! [`SuiteReport`] that renders every successful table/figure plus a
-//! failure summary — the pipeline always completes.
+//! failure summary — the pipeline always completes. Given a
+//! [`CheckpointStore`], it also persists each outcome as it lands and can
+//! resume a killed run from them.
+//!
+//! [`select_experiments`] is the one registry of what can run: the
+//! paper's eleven tables and figures (the default run) plus the ablation
+//! and scaling studies, which run when named.
 //!
 //! See the "Error handling & degradation policy" section of
 //! ARCHITECTURE.md for where this layer sits in the overall ladder.
@@ -30,6 +36,7 @@ pub struct Experiment {
     pub name: &'static str,
     /// What the experiment reproduces (e.g. `"Table 3 — review alignment"`).
     pub title: &'static str,
+    on_request: bool,
     runner: Box<dyn Fn(&EvalConfig) -> String + Send>,
 }
 
@@ -43,7 +50,17 @@ impl Experiment {
         Experiment {
             name,
             title,
+            on_request: false,
             runner: Box::new(runner),
+        }
+    }
+
+    /// Leave the experiment out of the default run: it runs only when
+    /// named.
+    fn on_request(self) -> Self {
+        Experiment {
+            on_request: true,
+            ..self
         }
     }
 }
@@ -135,14 +152,31 @@ impl SuiteReport {
             .collect()
     }
 
-    /// True when every experiment completed.
-    pub fn all_completed(&self) -> bool {
-        self.completed() == self.outcomes.len()
+    /// Render the full report: each successful experiment's output in run
+    /// order, then the summary block.
+    pub fn render(&self) -> String {
+        self.texts() + &self.summary(true)
     }
 
-    /// Render the full report: each successful experiment's output in run
-    /// order, then a summary block listing any failures.
-    pub fn render(&self) -> String {
+    /// Render only the summary block: completion counts, failures, then
+    /// the per-experiment performance trail.
+    pub fn render_summary(&self) -> String {
+        self.summary(true)
+    }
+
+    /// Render the deterministic portion of the report: every experiment's
+    /// output plus a summary whose performance trail carries solver
+    /// counters but **no wall-clock columns**. Two runs over the same
+    /// configuration produce byte-identical output from this renderer
+    /// (provided the selected experiments do not themselves measure wall
+    /// time, as `fig7` and `scaling` do) — it is the artifact the
+    /// kill-and-resume end-to-end test compares.
+    pub fn render_stable(&self) -> String {
+        self.texts() + &self.summary(false)
+    }
+
+    /// Each completed experiment's output, in run order.
+    fn texts(&self) -> String {
         let mut out = String::new();
         for (_, outcome) in &self.outcomes {
             if let ExperimentOutcome::Completed(text) = outcome {
@@ -150,13 +184,11 @@ impl SuiteReport {
                 out.push_str("\n\n");
             }
         }
-        out.push_str(&self.render_summary());
         out
     }
 
-    /// Render only the summary block: completion counts, failures, then
-    /// the per-experiment performance trail.
-    pub fn render_summary(&self) -> String {
+    /// The summary block, with or without the wall-clock column.
+    fn summary(&self, wall_clock: bool) -> String {
         let mut out = format!(
             "== suite summary: {}/{} experiments completed ==\n",
             self.completed(),
@@ -166,45 +198,13 @@ impl SuiteReport {
             out.push_str(&format!("FAILED {name}: {msg}\n"));
         }
         for t in &self.timings {
+            let wall = if wall_clock {
+                format!(" {:>9.1} ms |", t.wall_ms())
+            } else {
+                String::new()
+            };
             out.push_str(&format!(
-                "{:<10} {:>9.1} ms | pursuits {:>6} | regressions {:>5} | fallbacks {} | cap hits {}\n",
-                t.name,
-                t.wall_ms(),
-                t.metrics.nomp_pursuits,
-                t.metrics.integer_regressions,
-                t.metrics.fallback_qr + t.metrics.fallback_ridge,
-                t.metrics.nnls_cap_hits,
-            ));
-        }
-        out
-    }
-
-    /// Render the deterministic portion of the report: every experiment's
-    /// output plus a summary whose performance trail carries solver
-    /// counters but **no wall-clock columns**. Two runs over the same
-    /// configuration produce byte-identical output from this renderer
-    /// (provided the selected experiments do not themselves measure wall
-    /// time, as `fig7` does) — it is the artifact the kill-and-resume
-    /// end-to-end test compares.
-    pub fn render_stable(&self) -> String {
-        let mut out = String::new();
-        for (_, outcome) in &self.outcomes {
-            if let ExperimentOutcome::Completed(text) = outcome {
-                out.push_str(text);
-                out.push_str("\n\n");
-            }
-        }
-        out.push_str(&format!(
-            "== suite summary: {}/{} experiments completed ==\n",
-            self.completed(),
-            self.outcomes.len()
-        ));
-        for (name, msg) in self.failures() {
-            out.push_str(&format!("FAILED {name}: {msg}\n"));
-        }
-        for t in &self.timings {
-            out.push_str(&format!(
-                "{:<10} pursuits {:>6} | regressions {:>5} | fallbacks {} | cap hits {}\n",
+                "{:<10}{wall} pursuits {:>6} | regressions {:>5} | fallbacks {} | cap hits {}\n",
                 t.name,
                 t.metrics.nomp_pursuits,
                 t.metrics.integer_regressions,
@@ -272,25 +272,13 @@ fn deadline_fired(cfg: &EvalConfig) -> bool {
 /// [`SolverMetrics`] collector installed, so [`SuiteReport::timings`]
 /// attributes wall time and solver counters per experiment (a collector
 /// the caller pre-installed in `cfg.solve_options` is shadowed).
-pub fn run_suite(experiments: &[Experiment], cfg: &EvalConfig) -> SuiteReport {
-    let mut outcomes = Vec::with_capacity(experiments.len());
-    let mut timings = Vec::with_capacity(experiments.len());
-    for exp in experiments {
-        let (outcome, timing) = run_one(exp, cfg);
-        timings.push(timing);
-        outcomes.push((exp.name, outcome));
-    }
-    SuiteReport { outcomes, timings }
-}
-
-/// [`run_suite`] with crash-safe checkpointing: after every experiment the
-/// suite state is atomically persisted to `store`, and with `resume = true`
-/// a matching checkpoint's experiments are restored (exact text, counters,
-/// and original wall time) instead of recomputed. A killed run resumed
-/// this way produces a report whose [`SuiteReport::render_stable`] output
-/// is byte-identical to an uninterrupted run's.
 ///
-/// Two safety rules:
+/// With a `checkpoint` store, the suite state is atomically persisted
+/// after every experiment, and with `resume = true` a matching
+/// checkpoint's experiments are restored (exact text, counters, and
+/// original wall time) instead of recomputed. A killed run resumed this
+/// way produces a report whose [`SuiteReport::render_stable`] output is
+/// byte-identical to an uninterrupted run's. Two safety rules:
 ///
 /// * A checkpoint taken under a different configuration or build is
 ///   discarded with a warning — never stitched into the new run.
@@ -298,87 +286,96 @@ pub fn run_suite(experiments: &[Experiment], cfg: &EvalConfig) -> SuiteReport {
 ///   token was fired is **not** persisted: its output is
 ///   deadline-degraded, and a resume must recompute it at full quality.
 ///
+/// Without a store, `resume` is ignored.
+///
 /// # Errors
-/// Propagates filesystem errors from loading or saving the checkpoint.
-/// Experiment panics are still isolated per experiment, exactly as in
-/// [`run_suite`].
-pub fn run_suite_checkpointed(
+/// Propagates filesystem errors from loading or saving the checkpoint
+/// (never without a store). Experiment panics are isolated per
+/// experiment, never returned.
+pub fn run_suite(
     experiments: &[Experiment],
     cfg: &EvalConfig,
-    store: &CheckpointStore,
+    checkpoint: Option<&CheckpointStore>,
     resume: bool,
 ) -> io::Result<SuiteReport> {
     let config_fp = config_fingerprint(cfg);
     let code_fp = code_fingerprint();
-    let restored: SuiteCheckpoint = if resume {
-        match store.load(&config_fp, &code_fp)? {
+    let restored = match checkpoint {
+        Some(store) if resume => match store.load(&config_fp, &code_fp)? {
             Resume::Valid(ckpt) => {
                 tracing::info!(
                     "resuming from checkpoint: {} experiment(s) already complete",
                     ckpt.experiments.len()
                 );
-                ckpt
+                ckpt.experiments
             }
             Resume::Stale { reason } => {
                 tracing::warn!("discarding stale checkpoint ({reason}); starting fresh");
-                SuiteCheckpoint::empty(config_fp.clone(), code_fp.clone())
+                Vec::new()
             }
-            Resume::Fresh => SuiteCheckpoint::empty(config_fp.clone(), code_fp.clone()),
-        }
-    } else {
-        SuiteCheckpoint::empty(config_fp.clone(), code_fp.clone())
+            Resume::Fresh => Vec::new(),
+        },
+        _ => Vec::new(),
     };
 
     let mut ckpt = SuiteCheckpoint::empty(config_fp, code_fp);
-    let by_name = restored.by_name();
-    let mut outcomes = Vec::with_capacity(experiments.len());
-    let mut timings = Vec::with_capacity(experiments.len());
+    let mut report = SuiteReport {
+        outcomes: Vec::with_capacity(experiments.len()),
+        timings: Vec::with_capacity(experiments.len()),
+    };
     for exp in experiments {
-        if let Some(rec) = by_name.get(exp.name) {
-            tracing::info!("experiment {} restored from checkpoint", exp.name);
-            let outcome = if rec.completed {
-                ExperimentOutcome::Completed(rec.text.clone())
-            } else {
-                ExperimentOutcome::Failed(rec.text.clone())
-            };
-            timings.push(ExperimentTiming {
-                name: exp.name,
-                wall_nanos: rec.wall_nanos,
-                metrics: rec.metrics.clone(),
-            });
-            outcomes.push((exp.name, outcome));
-            ckpt.experiments.push((*rec).clone());
-            continue;
-        }
-        let (outcome, timing) = run_one(exp, cfg);
-        if deadline_fired(cfg) {
-            tracing::warn!(
-                "experiment {} ran under a fired deadline; not checkpointing its output",
-                exp.name
-            );
-        } else {
-            let (completed, text) = match &outcome {
-                ExperimentOutcome::Completed(t) => (true, t.clone()),
-                ExperimentOutcome::Failed(t) => (false, t.clone()),
-            };
-            ckpt.experiments.push(ExperimentRecord {
-                name: exp.name.to_string(),
-                completed,
-                text,
-                wall_nanos: timing.wall_nanos,
-                metrics: timing.metrics.clone(),
-            });
-            store.save(&ckpt)?;
-        }
-        timings.push(timing);
-        outcomes.push((exp.name, outcome));
+        let (outcome, timing) = match restored.iter().find(|rec| rec.name == exp.name) {
+            Some(rec) => {
+                tracing::info!("experiment {} restored from checkpoint", exp.name);
+                ckpt.experiments.push(rec.clone());
+                let outcome = if rec.completed {
+                    ExperimentOutcome::Completed(rec.text.clone())
+                } else {
+                    ExperimentOutcome::Failed(rec.text.clone())
+                };
+                let timing = ExperimentTiming {
+                    name: exp.name,
+                    wall_nanos: rec.wall_nanos,
+                    metrics: rec.metrics.clone(),
+                };
+                (outcome, timing)
+            }
+            None => {
+                let (outcome, timing) = run_one(exp, cfg);
+                match checkpoint {
+                    Some(_) if deadline_fired(cfg) => tracing::warn!(
+                        "experiment {} ran under a fired deadline; not checkpointing its output",
+                        exp.name
+                    ),
+                    Some(store) => {
+                        let (completed, text) = match &outcome {
+                            ExperimentOutcome::Completed(t) => (true, t.clone()),
+                            ExperimentOutcome::Failed(t) => (false, t.clone()),
+                        };
+                        ckpt.experiments.push(ExperimentRecord {
+                            name: exp.name.to_string(),
+                            completed,
+                            text,
+                            wall_nanos: timing.wall_nanos,
+                            metrics: timing.metrics.clone(),
+                        });
+                        store.save(&ckpt)?;
+                    }
+                    None => {}
+                }
+                (outcome, timing)
+            }
+        };
+        report.timings.push(timing);
+        report.outcomes.push((exp.name, outcome));
     }
-    Ok(SuiteReport { outcomes, timings })
+    Ok(report)
 }
 
-/// The paper's full reproduction pass: every table and figure of §4, in
-/// the order the paper presents them.
-pub fn standard_suite() -> Vec<Experiment> {
+/// Every experiment `comparesets eval` can run, in report order: the
+/// paper's §4 tables and figures, in the order the paper presents them,
+/// then the two studies beyond the paper, which run only when named.
+fn registry() -> Vec<Experiment> {
     vec![
         Experiment::new("table2", "Table 2 — data statistics", |cfg| {
             crate::table2::run(cfg).render()
@@ -411,10 +408,45 @@ pub fn standard_suite() -> Vec<Experiment> {
             crate::fig11::run(cfg).render()
         }),
         Experiment::new("casestudy", "Figures 8–10 — case study", |cfg| {
-            let cases = crate::casestudy::run(cfg);
-            crate::casestudy::render(&cases)
+            crate::casestudy::render(&crate::casestudy::run(cfg))
         }),
+        Experiment::new("ablation", "Ablation studies beyond the paper", |cfg| {
+            crate::ablation::run(cfg).render()
+        })
+        .on_request(),
+        Experiment::new("scaling", "Per-instance cost vs. corpus size", |cfg| {
+            crate::scaling::run(cfg).render()
+        })
+        .on_request(),
     ]
+}
+
+/// The experiments one run covers, in report order: with `names = None`
+/// the paper's full reproduction pass (every table and figure of §4);
+/// otherwise the experiments the comma-separated `names` list, which may
+/// also name `ablation` and `scaling`.
+///
+/// # Errors
+/// An unknown name, with every valid one listed.
+pub fn select_experiments(names: Option<&str>) -> Result<Vec<Experiment>, String> {
+    let mut registry = registry();
+    let Some(list) = names else {
+        registry.retain(|e| !e.on_request);
+        return Ok(registry);
+    };
+    let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|name| !registry.iter().any(|e| e.name == **name))
+    {
+        let valid: Vec<&str> = registry.iter().map(|e| e.name).collect();
+        return Err(format!(
+            "unknown experiment {unknown:?} (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    registry.retain(|e| wanted.contains(&e.name));
+    Ok(registry)
 }
 
 #[cfg(test)]
@@ -430,10 +462,9 @@ mod tests {
             Experiment::new("boom", "panics", |_| panic!("injected failure")),
             Experiment::new("after", "still runs", |_| "later".to_string()),
         ];
-        let report = run_suite(&experiments, &EvalConfig::tiny());
+        let report = run_suite(&experiments, &EvalConfig::tiny(), None, false).unwrap();
         assert_eq!(report.outcomes.len(), 3);
         assert_eq!(report.completed(), 2);
-        assert!(!report.all_completed());
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, "boom");
@@ -461,8 +492,8 @@ mod tests {
             }),
             Experiment::new("idle", "no solver work", |_| "idle".to_string()),
         ];
-        let report = run_suite(&experiments, &EvalConfig::tiny());
-        assert!(report.all_completed());
+        let report = run_suite(&experiments, &EvalConfig::tiny(), None, false).unwrap();
+        assert!(report.failures().is_empty());
         assert_eq!(report.timings.len(), 2);
         assert_eq!(report.timings[0].name, "solve");
         // The solving experiment exercised the instrumented hot path...
@@ -504,14 +535,14 @@ mod tests {
         };
 
         // Uninterrupted run: both experiments execute, checkpoint persists.
-        let full = run_suite_checkpointed(&experiments(), &cfg, &store, false).unwrap();
-        assert!(full.all_completed());
+        let full = run_suite(&experiments(), &cfg, Some(&store), false).unwrap();
+        assert!(full.failures().is_empty());
         assert_eq!(RUNS_A.load(Ordering::SeqCst), 1);
         assert_eq!(RUNS_B.load(Ordering::SeqCst), 1);
 
         // Resume against the complete checkpoint: nothing re-runs, and the
         // deterministic render is byte-identical.
-        let resumed = run_suite_checkpointed(&experiments(), &cfg, &store, true).unwrap();
+        let resumed = run_suite(&experiments(), &cfg, Some(&store), true).unwrap();
         assert_eq!(RUNS_A.load(Ordering::SeqCst), 1, "first re-ran");
         assert_eq!(RUNS_B.load(Ordering::SeqCst), 1, "second re-ran");
         assert_eq!(full.render_stable(), resumed.render_stable());
@@ -520,7 +551,7 @@ mod tests {
         assert_eq!(full.render(), resumed.render());
 
         // Without --resume the checkpoint is ignored and overwritten.
-        let fresh = run_suite_checkpointed(&experiments(), &cfg, &store, false).unwrap();
+        let fresh = run_suite(&experiments(), &cfg, Some(&store), false).unwrap();
         assert_eq!(RUNS_A.load(Ordering::SeqCst), 2);
         assert_eq!(RUNS_B.load(Ordering::SeqCst), 2);
         assert_eq!(full.render_stable(), fresh.render_stable());
@@ -538,9 +569,9 @@ mod tests {
         let experiments = vec![Experiment::new("degraded", "deadline", |_| {
             "out".to_string()
         })];
-        let report = run_suite_checkpointed(&experiments, &cfg, &store, false).unwrap();
+        let report = run_suite(&experiments, &cfg, Some(&store), false).unwrap();
         // The run itself still reports the (degraded) outcome...
-        assert!(report.all_completed());
+        assert!(report.failures().is_empty());
         // ...but nothing was persisted: a resume must recompute it.
         assert!(
             !store.path().exists(),
@@ -551,7 +582,7 @@ mod tests {
     #[test]
     fn stable_render_drops_wall_clock_but_keeps_counters() {
         let experiments = vec![Experiment::new("ok", "fine", |_| "output".to_string())];
-        let report = run_suite(&experiments, &EvalConfig::tiny());
+        let report = run_suite(&experiments, &EvalConfig::tiny(), None, false).unwrap();
         let stable = report.render_stable();
         assert!(stable.contains("output"));
         assert!(stable.contains("pursuits"));
@@ -559,12 +590,31 @@ mod tests {
     }
 
     #[test]
-    fn standard_suite_lists_every_experiment_once() {
-        let suite = standard_suite();
-        assert_eq!(suite.len(), 11);
-        let mut names: Vec<_> = suite.iter().map(|e| e.name).collect();
+    fn registry_lists_every_experiment_once() {
+        let mut names: Vec<_> = registry().iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), 13);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 11, "duplicate experiment names");
+        assert_eq!(names.len(), 13, "duplicate experiment names");
+        // The default run is the paper's eleven; the two studies beyond
+        // the paper run only when named.
+        let default = select_experiments(None).unwrap();
+        assert_eq!(default.len(), 11);
+        assert!(default
+            .iter()
+            .all(|e| e.name != "ablation" && e.name != "scaling"));
+    }
+
+    #[test]
+    fn named_experiments_run_in_report_order_and_unknown_names_list_the_valid_ones() {
+        let picked = select_experiments(Some("scaling, table3,ablation")).unwrap();
+        let names: Vec<_> = picked.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["table3", "ablation", "scaling"]);
+        let e = select_experiments(Some("table2,tablezzz")).unwrap_err();
+        assert!(e.contains("\"tablezzz\""), "{e}");
+        assert!(
+            e.contains("table2, table3") && e.contains("ablation, scaling"),
+            "{e}"
+        );
     }
 }

@@ -1,11 +1,13 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§4).
 //!
-//! Each experiment lives in its own module returning structured results;
-//! a matching binary under `src/bin/` prints the paper-style table. The
-//! harness runs on synthetic corpora from `comparesets-data` (see
-//! DESIGN.md for the substitution rationale) and asserts *shape* fidelity,
-//! not absolute numbers:
+//! Each experiment lives in its own module returning structured results
+//! and renders the paper-style table; [`harness`] registers every one of
+//! them, and `comparesets eval` runs the paper's eleven by default or any
+//! named subset (`--experiments table3,ablation`). The harness runs on
+//! synthetic corpora from `comparesets-data` (see DESIGN.md for the
+//! substitution rationale) and asserts *shape* fidelity, not absolute
+//! numbers:
 //!
 //! | Module       | Reproduces |
 //! |--------------|------------|
@@ -20,6 +22,8 @@
 //! | [`fig7`]     | Figure 7 — runtime vs. number of comparative items |
 //! | [`fig11`]    | Figure 11 — information loss vs. m |
 //! | [`casestudy`]| Figures 8–10 — selected review sets for one instance |
+//! | [`ablation`] | Beyond the paper — optimality gap, sweep count, coherence, peeling (run when named) |
+//! | [`scaling`]  | Beyond the paper — per-instance cost vs. corpus size (run when named) |
 
 #![warn(missing_docs)]
 
@@ -27,7 +31,6 @@ pub mod ablation;
 pub mod casestudy;
 pub mod checkpoint;
 pub mod config;
-pub mod export;
 pub mod fig11;
 pub mod fig5;
 pub mod fig6;
@@ -48,8 +51,7 @@ pub mod userstudy;
 pub use checkpoint::{CheckpointStore, Resume, SuiteCheckpoint};
 pub use config::EvalConfig;
 pub use harness::{
-    run_suite, run_suite_checkpointed, standard_suite, Experiment, ExperimentOutcome,
-    ExperimentTiming, SuiteReport,
+    run_suite, select_experiments, Experiment, ExperimentOutcome, ExperimentTiming, SuiteReport,
 };
 pub use metrics::RougeTriple;
 pub use pipeline::PreparedInstance;

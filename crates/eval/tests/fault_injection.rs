@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use comparesets_eval::{run_suite, standard_suite, EvalConfig, Experiment, ExperimentOutcome};
+use comparesets_eval::{run_suite, select_experiments, EvalConfig, Experiment, ExperimentOutcome};
 
 /// A real experiment on either side of an injected failure: the suite
 /// records the failure and still renders both healthy outputs.
@@ -23,11 +23,10 @@ fn pipeline_completes_with_an_injected_failing_experiment() {
             comparesets_eval::fig5::run(cfg).render()
         }),
     ];
-    let report = run_suite(&experiments, &cfg);
+    let report = run_suite(&experiments, &cfg, None, false).unwrap();
 
     assert_eq!(report.outcomes.len(), 3, "all experiments attempted");
     assert_eq!(report.completed(), 2, "healthy experiments completed");
-    assert!(!report.all_completed());
 
     // The failure is recorded by name with the panic text preserved.
     let failures = report.failures();
@@ -47,11 +46,11 @@ fn pipeline_completes_with_an_injected_failing_experiment() {
     assert!(rendered.contains("FAILED poisoned"), "{rendered}");
 }
 
-/// The standard suite's registry stays aligned with the paper's eleven
-/// tables and figures so the binary runs them all.
+/// The default run stays aligned with the paper's eleven tables and
+/// figures, so `comparesets eval` with no `--experiments` runs them all.
 #[test]
-fn standard_suite_covers_the_full_reproduction_pass() {
-    let suite = standard_suite();
+fn default_run_covers_the_full_reproduction_pass() {
+    let suite = select_experiments(None).unwrap();
     let names: Vec<_> = suite.iter().map(|e| e.name).collect();
     assert_eq!(
         names,

@@ -1,11 +1,10 @@
 //! Integration tests exercising the public `comparesets-stats` API the
 //! way the eval harness composes it: bootstrap intervals cross-checked
-//! against the closed-form normal approximation, the parametric and
-//! rank-based significance tests agreeing on the same paired samples, and
-//! the `None`-on-degenerate-input contract holding uniformly across the
-//! three entry points.
+//! against the closed-form normal approximation, the paired t-test
+//! awarding a star only to a significant improvement, and the
+//! `None`-on-degenerate-input contract holding across both entry points.
 
-use comparesets_stats::{bootstrap_mean_ci, mean, paired_t_test, sem, wilcoxon_signed_rank};
+use comparesets_stats::{bootstrap_mean_ci, mean, paired_t_test, sem};
 
 /// A deterministic, well-behaved sample with mild variation.
 fn sample(n: usize, base: f64, amp: f64) -> Vec<f64> {
@@ -35,18 +34,16 @@ fn bootstrap_ci_matches_closed_form_normal_width() {
 }
 
 #[test]
-fn t_test_and_wilcoxon_agree_on_paired_samples() {
-    // Clear improvement: both tests award the star. The amplitudes
+fn t_test_stars_only_significant_improvements() {
+    // Clear improvement: the test awards the star. The amplitudes
     // differ so the pairwise differences vary (a zero-variance
     // difference series is undefined for the t statistic).
     let better = sample(40, 5.5, 0.2);
     let worse = sample(40, 5.0, 0.15);
     let t = paired_t_test(&better, &worse).unwrap();
-    let w = wilcoxon_signed_rank(&better, &worse).unwrap();
     assert!(t.significant_improvement(0.05));
-    assert!(w.significant_improvement(0.05));
 
-    // Pure noise: neither test awards it.
+    // Pure noise: no star.
     let a: Vec<f64> = (0..40)
         .map(|i| if i % 2 == 0 { 1.0 } else { 0.0 })
         .collect();
@@ -54,16 +51,12 @@ fn t_test_and_wilcoxon_agree_on_paired_samples() {
         .map(|i| if i % 2 == 0 { 0.0 } else { 1.0 })
         .collect();
     let t = paired_t_test(&a, &b).unwrap();
-    let w = wilcoxon_signed_rank(&a, &b).unwrap();
     assert!(!t.significant_improvement(0.05));
-    assert!(!w.significant_improvement(0.05));
 
     // Significant in the wrong direction: a star is never awarded for a
-    // regression, by either test.
+    // regression.
     let t = paired_t_test(&worse, &better).unwrap();
-    let w = wilcoxon_signed_rank(&worse, &better).unwrap();
     assert!(t.p_value < 0.05 && !t.significant_improvement(0.05));
-    assert!(w.p_value < 0.05 && !w.significant_improvement(0.05));
 }
 
 #[test]
@@ -78,21 +71,16 @@ fn separated_populations_have_disjoint_cis_and_significant_tests() {
     assert!(paired_t_test(&high, &low)
         .unwrap()
         .significant_improvement(0.05));
-    assert!(wilcoxon_signed_rank(&high, &low)
-        .unwrap()
-        .significant_improvement(0.05));
 }
 
 #[test]
 fn misaligned_inputs_yield_none_everywhere() {
-    // The paired tests share the misaligned-input contract: `None`, never
-    // a panic or a truncated comparison.
+    // Misaligned paired input is `None`, never a panic or a truncated
+    // comparison.
     let a = [1.0, 2.0, 3.0];
     let b = [1.0, 2.0];
     assert!(paired_t_test(&a, &b).is_none());
     assert!(paired_t_test(&b, &a).is_none());
-    assert!(wilcoxon_signed_rank(&a, &b).is_none());
-    assert!(wilcoxon_signed_rank(&b, &a).is_none());
 }
 
 #[test]
@@ -100,11 +88,9 @@ fn degenerate_inputs_yield_none_everywhere() {
     // Empty samples.
     assert!(bootstrap_mean_ci(&[], 0.95, 100, 0).is_none());
     assert!(paired_t_test(&[], &[]).is_none());
-    assert!(wilcoxon_signed_rank(&[], &[]).is_none());
     // Zero-variance pairs: no statistic is defined, no star awarded.
     let same = [3.0; 12];
     assert!(paired_t_test(&same, &same).is_none());
-    assert!(wilcoxon_signed_rank(&same, &same).is_none());
     // Out-of-range confidence or no resamples.
     assert!(bootstrap_mean_ci(&[1.0, 2.0], 1.0, 100, 0).is_none());
     assert!(bootstrap_mean_ci(&[1.0, 2.0], 0.95, 0, 0).is_none());
@@ -116,10 +102,6 @@ fn non_finite_values_degrade_gracefully() {
     let mut poisoned = clean.clone();
     poisoned[4] = f64::NAN;
     let shifted: Vec<f64> = clean.iter().map(|x| x - 1.0).collect();
-    // The t-test refuses poisoned input outright...
+    // The t-test refuses poisoned input outright.
     assert!(paired_t_test(&poisoned, &shifted).is_none());
-    // ...while Wilcoxon drops the poisoned pair and carries on.
-    let w = wilcoxon_signed_rank(&poisoned, &shifted).unwrap();
-    assert_eq!(w.n_used, 11);
-    assert!(w.significant_improvement(0.05));
 }

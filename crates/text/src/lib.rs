@@ -22,15 +22,11 @@ pub mod aspect;
 pub mod lexicon;
 pub mod ngram;
 pub mod rouge;
-pub mod rouge_s;
-pub mod stem;
 pub mod summarize;
 pub mod tokenize;
 
 pub use aspect::{AspectExtractor, ExtractedOpinion};
 pub use lexicon::{Lexicon, Sentiment};
 pub use rouge::{rouge_1, rouge_2, rouge_l, rouge_n, RougeScore};
-pub use rouge_s::{rouge_s, rouge_su};
-pub use stem::{stem, stem_tokens};
 pub use summarize::{summarize, SummaryConfig};
 pub use tokenize::{sentences, tokenize};

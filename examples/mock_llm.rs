@@ -63,7 +63,7 @@ fn main() {
     println!(
         "\nCompaReSetS+ instead solves each instance with \
          O((m^3 + |R|·m)·n) integer regressions — milliseconds per instance \
-         (see `cargo run -p comparesets-eval --bin fig7`)."
+         (see `comparesets eval --experiments fig7`)."
     );
     println!(
         "\nThe paper also documents LLM hallucination: generated 'reviews' \

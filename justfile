@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke results-check smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
+ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke results-check eval-smoke smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
 
 fmt:
     cargo fmt
@@ -75,6 +75,21 @@ results-check:
 # docs on #![warn(missing_docs)] crates).
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# The two studies beyond the paper, which the default run (and so the
+# results check) leaves out: `eval` must run both at the tiny config,
+# exit 0 and print both tables (mirrors the "Eval smoke" CI step).
+eval-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    cargo run --release -q -p comparesets-cli -- eval --config tiny \
+        --experiments ablation,scaling > "$tmp/eval.out"
+    grep -q '^Ablation studies' "$tmp/eval.out"
+    grep -q '^Scalability:' "$tmp/eval.out"
+    grep -q '2/2 experiments completed' "$tmp/eval.out"
+    echo "eval smoke ok"
 
 # End-to-end observability smoke: generate a small corpus, solve it with
 # --trace debug, and require a valid non-empty --metrics-json report
