@@ -1,6 +1,6 @@
-//! Shared fixtures for the criterion benches. Each bench target under
-//! `benches/` corresponds to one table or figure of the paper (see
-//! DESIGN.md's per-experiment index).
+//! Shared fixtures for the criterion benches. DESIGN.md's per-experiment
+//! index maps each bench target under `benches/` to the table or figure
+//! of the paper whose workload it times.
 
 pub mod schema;
 

@@ -214,8 +214,10 @@ impl StreamBenchReport {
 }
 
 /// One cell of the TargetHkS scaling grid: the same (vertices, k)
-/// instance solved under the same deadline by the sequential and the
-/// parallel branch-and-bound.
+/// instance solved under the same deadline by one worker and by two. A
+/// `*_closed` flag holds when every solve of that worker count closed the
+/// cell; every other `one_*`/`two_*` value is the median over the
+/// report's [`TargetHksBenchReport::solves`] solves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TargetHksCell {
     /// Cell path, e.g. `"targethks/n32/k6"`.
@@ -226,29 +228,26 @@ pub struct TargetHksCell {
     pub k: usize,
     /// Per-solve wall-clock deadline, in milliseconds.
     pub deadline_ms: u64,
-    /// Worker threads of the parallel solve.
-    pub threads: usize,
-    /// Sequential solve proved optimality within the deadline.
-    pub seq_closed: bool,
-    /// Parallel solve proved optimality within the deadline.
-    pub par_closed: bool,
-    /// Sequential incumbent weight at the deadline (the optimum when
-    /// `seq_closed`).
-    pub seq_weight: f64,
-    /// Parallel incumbent weight at the deadline.
-    pub par_weight: f64,
-    /// Sequential absolute optimality-gap certificate (0 when closed).
-    pub seq_gap: f64,
-    /// Parallel absolute optimality-gap certificate (0 when closed).
-    pub par_gap: f64,
-    /// Branch-and-bound nodes the sequential solve expanded.
-    pub seq_nodes: u64,
-    /// Branch-and-bound nodes the parallel solve expanded (all workers).
-    pub par_nodes: u64,
-    /// Sequential node throughput (nodes / elapsed seconds).
-    pub seq_nodes_per_sec: f64,
-    /// Parallel aggregate node throughput.
-    pub par_nodes_per_sec: f64,
+    /// One worker proved optimality within the deadline.
+    pub one_closed: bool,
+    /// Two workers proved optimality within the deadline.
+    pub two_closed: bool,
+    /// One worker's incumbent weight (the optimum when `one_closed`).
+    pub one_weight: f64,
+    /// Two workers' incumbent weight.
+    pub two_weight: f64,
+    /// One worker's absolute optimality-gap certificate (0 when closed).
+    pub one_gap: f64,
+    /// Two workers' optimality-gap certificate (0 when closed).
+    pub two_gap: f64,
+    /// Branch-and-bound nodes one worker expanded.
+    pub one_nodes: u64,
+    /// Branch-and-bound nodes two workers expanded together.
+    pub two_nodes: u64,
+    /// One worker's wall seconds.
+    pub one_seconds: f64,
+    /// Two workers' wall seconds.
+    pub two_seconds: f64,
 }
 
 /// The machine-readable report `benches/targethks_scaling.rs` writes to
@@ -259,14 +258,26 @@ pub struct TargetHksBenchReport {
     pub bench: String,
     /// `std::thread::available_parallelism()` on the measuring machine.
     pub threads_available: usize,
+    /// Solves per cell and worker count behind each median.
+    pub solves: usize,
     /// All grid cells, in emission order.
     pub cells: Vec<TargetHksCell>,
 }
 
+/// The cells two workers must prove optimal [`TWO_WORKER_GAIN`]× sooner
+/// than one: the closed cells that keep one worker busy long enough (tens
+/// to hundreds of milliseconds) for a second core to pay.
+pub const SPEEDUP_CELLS: [&str; 2] = ["targethks/n40/k10", "targethks/n48/k10"];
+
+/// What a second worker must buy on two cores: this factor more nodes
+/// before the deadline, and this factor sooner a proof.
+pub const TWO_WORKER_GAIN: f64 = 1.5;
+
 impl TargetHksBenchReport {
     /// Structural validation: non-empty identity, unique cell names,
     /// well-formed grid coordinates, finite non-negative weights and
-    /// gaps, zero gap whenever a solve closed, and positive throughputs.
+    /// gaps, zero gap whenever a solve closed, and positive node counts
+    /// and timings.
     ///
     /// # Errors
     /// A readable description of the first violated invariant.
@@ -276,6 +287,9 @@ impl TargetHksBenchReport {
         }
         if self.threads_available == 0 {
             return Err("threads_available must be at least 1".to_string());
+        }
+        if self.solves == 0 {
+            return Err("medians over zero solves".to_string());
         }
         if self.cells.is_empty() {
             return Err("report has no cells".to_string());
@@ -297,17 +311,11 @@ impl TargetHksBenchReport {
             if c.deadline_ms == 0 {
                 return Err(format!("{}: zero deadline", c.name));
             }
-            if c.threads < 2 {
-                return Err(format!(
-                    "{}: parallel column ran on {} thread(s)",
-                    c.name, c.threads
-                ));
-            }
             for (what, v) in [
-                ("seq_weight", c.seq_weight),
-                ("par_weight", c.par_weight),
-                ("seq_gap", c.seq_gap),
-                ("par_gap", c.par_gap),
+                ("one_weight", c.one_weight),
+                ("two_weight", c.two_weight),
+                ("one_gap", c.one_gap),
+                ("two_gap", c.two_gap),
             ] {
                 if !(v.is_finite() && v >= 0.0) {
                     return Err(format!(
@@ -316,18 +324,18 @@ impl TargetHksBenchReport {
                     ));
                 }
             }
-            if c.seq_closed && c.seq_gap != 0.0 {
-                return Err(format!("{}: closed sequential cell with gap", c.name));
+            if c.one_closed && c.one_gap != 0.0 {
+                return Err(format!("{}: closed one-worker cell with gap", c.name));
             }
-            if c.par_closed && c.par_gap != 0.0 {
-                return Err(format!("{}: closed parallel cell with gap", c.name));
+            if c.two_closed && c.two_gap != 0.0 {
+                return Err(format!("{}: closed two-worker cell with gap", c.name));
             }
-            if c.seq_nodes == 0 || c.par_nodes == 0 {
+            if c.one_nodes == 0 || c.two_nodes == 0 {
                 return Err(format!("{}: a solve expanded zero nodes", c.name));
             }
             for (what, v) in [
-                ("seq_nodes_per_sec", c.seq_nodes_per_sec),
-                ("par_nodes_per_sec", c.par_nodes_per_sec),
+                ("one_seconds", c.one_seconds),
+                ("two_seconds", c.two_seconds),
             ] {
                 if !(v.is_finite() && v > 0.0) {
                     return Err(format!("{}: {what} {v} is not positive finite", c.name));
@@ -337,46 +345,63 @@ impl TargetHksBenchReport {
         Ok(())
     }
 
-    /// The anytime acceptance property the committed baseline must hold:
+    /// What the committed baseline must show a second core buys:
     ///
-    /// * at least one cell is left open by the sequential solver (the
-    ///   grid actually stresses the deadline);
-    /// * on those open cells, the parallel solver closes strictly more of
-    ///   them, or certifies a strictly smaller mean bound gap (best-first
-    ///   frontier certificates beat the sequential root bound);
-    /// * on every cell both modes close, the proven optimal weights agree.
+    /// * it was measured with at least two threads available;
+    /// * on every cell both worker counts close, they prove the same
+    ///   optimal weight;
+    /// * one worker leaves at least one cell open, and on every such
+    ///   cell two workers expand at least [`TWO_WORKER_GAIN`]× its nodes
+    ///   before the deadline;
+    /// * both worker counts close every [`SPEEDUP_CELLS`] cell, two
+    ///   workers at least [`TWO_WORKER_GAIN`]× sooner.
     ///
     /// # Errors
     /// A readable description of the first violated property.
-    pub fn anytime_acceptance(&self) -> Result<(), String> {
-        let open: Vec<&TargetHksCell> = self.cells.iter().filter(|c| !c.seq_closed).collect();
-        if open.is_empty() {
-            return Err(
-                "no cell left open by the sequential solver; the grid is too easy".to_string(),
-            );
-        }
-        let par_extra = open.iter().filter(|c| c.par_closed).count();
-        let mean = |f: fn(&TargetHksCell) -> f64| {
-            open.iter().map(|c| f(c)).sum::<f64>() / open.len() as f64
-        };
-        let mean_seq = mean(|c| c.seq_gap);
-        let mean_par = mean(|c| c.par_gap);
-        if par_extra == 0 && mean_par >= mean_seq {
+    pub fn two_core_acceptance(&self) -> Result<(), String> {
+        if self.threads_available < 2 {
             return Err(format!(
-                "parallel closed no extra cell and its mean gap {mean_par} \
-                 does not beat the sequential mean gap {mean_seq}"
+                "measured with {} thread(s) available; two workers need two cores",
+                self.threads_available
             ));
         }
-        for c in &self.cells {
-            if c.seq_closed && c.par_closed {
-                let tol = 1e-6 * c.seq_weight.abs().max(1.0);
-                if (c.seq_weight - c.par_weight).abs() > tol {
-                    return Err(format!(
-                        "{}: both modes closed but proved different optima \
-                         ({} vs {})",
-                        c.name, c.seq_weight, c.par_weight
-                    ));
-                }
+        for c in self.cells.iter().filter(|c| c.one_closed && c.two_closed) {
+            let tol = 1e-6 * c.one_weight.abs().max(1.0);
+            if (c.one_weight - c.two_weight).abs() > tol {
+                return Err(format!(
+                    "{}: one and two workers proved different optima ({} vs {})",
+                    c.name, c.one_weight, c.two_weight
+                ));
+            }
+        }
+        let open: Vec<&TargetHksCell> = self.cells.iter().filter(|c| !c.one_closed).collect();
+        if open.is_empty() {
+            return Err("no cell left open by one worker; the grid is too easy".to_string());
+        }
+        for c in open {
+            if (c.two_nodes as f64) < TWO_WORKER_GAIN * c.one_nodes as f64 {
+                return Err(format!(
+                    "{}: two workers expanded {} nodes before the deadline, under \
+                     {TWO_WORKER_GAIN}x one worker's {}",
+                    c.name, c.two_nodes, c.one_nodes
+                ));
+            }
+        }
+        for name in SPEEDUP_CELLS {
+            let c = self
+                .cells
+                .iter()
+                .find(|c| c.name == name)
+                .ok_or_else(|| format!("the grid has no cell {name}"))?;
+            if !(c.one_closed && c.two_closed) {
+                return Err(format!("{name}: not closed by both worker counts"));
+            }
+            if c.one_seconds < TWO_WORKER_GAIN * c.two_seconds {
+                return Err(format!(
+                    "{name}: two workers took {}s, not {TWO_WORKER_GAIN}x sooner than \
+                     one worker's {}s",
+                    c.two_seconds, c.one_seconds
+                ));
             }
         }
         Ok(())
@@ -508,45 +533,34 @@ mod tests {
         assert!(r.validate().is_err());
     }
 
+    fn targethks_cell(name: &str, one_closed: bool, two_closed: bool) -> TargetHksCell {
+        TargetHksCell {
+            name: name.to_string(),
+            vertices: 48,
+            k: 10,
+            deadline_ms: 1000,
+            one_closed,
+            two_closed,
+            one_weight: 240.9,
+            two_weight: 240.9,
+            one_gap: if one_closed { 0.0 } else { 130.0 },
+            two_gap: if two_closed { 0.0 } else { 128.0 },
+            one_nodes: 30_000,
+            two_nodes: 60_000,
+            one_seconds: 0.24,
+            two_seconds: 0.11,
+        }
+    }
+
     fn sample_targethks_report() -> TargetHksBenchReport {
         TargetHksBenchReport {
             bench: "targethks_scaling".to_string(),
-            threads_available: 4,
+            threads_available: 2,
+            solves: 5,
             cells: vec![
-                TargetHksCell {
-                    name: "targethks/n16/k4".to_string(),
-                    vertices: 16,
-                    k: 4,
-                    deadline_ms: 1000,
-                    threads: 4,
-                    seq_closed: true,
-                    par_closed: true,
-                    seq_weight: 41.5,
-                    par_weight: 41.5,
-                    seq_gap: 0.0,
-                    par_gap: 0.0,
-                    seq_nodes: 900,
-                    par_nodes: 1100,
-                    seq_nodes_per_sec: 5e5,
-                    par_nodes_per_sec: 3e5,
-                },
-                TargetHksCell {
-                    name: "targethks/n40/k8".to_string(),
-                    vertices: 40,
-                    k: 8,
-                    deadline_ms: 1000,
-                    threads: 4,
-                    seq_closed: false,
-                    par_closed: false,
-                    seq_weight: 150.0,
-                    par_weight: 151.0,
-                    seq_gap: 40.0,
-                    par_gap: 12.0,
-                    seq_nodes: 2_000_000,
-                    par_nodes: 1_500_000,
-                    seq_nodes_per_sec: 2e6,
-                    par_nodes_per_sec: 1.5e6,
-                },
+                targethks_cell("targethks/n40/k10", true, true),
+                targethks_cell("targethks/n48/k10", true, true),
+                targethks_cell("targethks/n64/k12", false, false),
             ],
         }
     }
@@ -558,7 +572,7 @@ mod tests {
         let back: TargetHksBenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert!(back.validate().is_ok());
-        assert!(back.anytime_acceptance().is_ok());
+        assert!(back.two_core_acceptance().is_ok());
     }
 
     #[test]
@@ -567,13 +581,17 @@ mod tests {
         r.cells.clear();
         assert!(r.validate().is_err());
 
+        let mut r = sample_targethks_report();
+        r.solves = 0;
+        assert!(r.validate().is_err());
+
         // A closed cell must certify gap zero.
         let mut r = sample_targethks_report();
-        r.cells[0].seq_gap = 1.0;
+        r.cells[0].one_gap = 1.0;
         assert!(r.validate().is_err());
 
         let mut r = sample_targethks_report();
-        r.cells[0].par_weight = f64::NAN;
+        r.cells[0].two_weight = f64::NAN;
         assert!(r.validate().is_err());
 
         // The grid requires vertices > k.
@@ -581,9 +599,8 @@ mod tests {
         r.cells[0].vertices = 4;
         assert!(r.validate().is_err());
 
-        // The parallel column must actually be parallel.
         let mut r = sample_targethks_report();
-        r.cells[0].threads = 1;
+        r.cells[0].two_seconds = 0.0;
         assert!(r.validate().is_err());
 
         let mut r = sample_targethks_report();
@@ -593,28 +610,37 @@ mod tests {
     }
 
     #[test]
-    fn targethks_acceptance_requires_an_anytime_win() {
-        // All cells closed: the grid never stressed the deadline.
+    fn targethks_acceptance_requires_what_a_second_core_buys() {
+        // Measured on one core.
         let mut r = sample_targethks_report();
-        r.cells[1].seq_closed = true;
-        r.cells[1].seq_gap = 0.0;
-        assert!(r.anytime_acceptance().is_err());
+        r.threads_available = 1;
+        assert!(r.two_core_acceptance().is_err());
 
-        // Open cell where parallel neither closes nor tightens the gap.
+        // Different optima on a cell both worker counts close.
         let mut r = sample_targethks_report();
-        r.cells[1].par_gap = 40.0;
-        assert!(r.anytime_acceptance().is_err());
+        r.cells[0].two_weight = 240.0;
+        assert!(r.two_core_acceptance().is_err());
 
-        // Parallel closing the open cell is also a win.
+        // A second worker that expands no more nodes than one on an open
+        // cell.
         let mut r = sample_targethks_report();
-        r.cells[1].par_closed = true;
-        r.cells[1].par_gap = 0.0;
-        assert!(r.anytime_acceptance().is_ok());
+        r.cells[2].two_nodes = r.cells[2].one_nodes;
+        assert!(r.two_core_acceptance().is_err());
 
-        // Disagreeing optima on a doubly-closed cell are rejected.
+        // No open cell: the grid never reached the deadline.
         let mut r = sample_targethks_report();
-        r.cells[0].par_weight = 40.0;
-        assert!(r.anytime_acceptance().is_err());
+        r.cells.pop();
+        assert!(r.two_core_acceptance().is_err());
+
+        // A speed-up cell two workers do not prove 1.5x sooner.
+        let mut r = sample_targethks_report();
+        r.cells[1].two_seconds = 0.2;
+        assert!(r.two_core_acceptance().is_err());
+
+        // A speed-up cell missing from the grid.
+        let mut r = sample_targethks_report();
+        r.cells.remove(0);
+        assert!(r.two_core_acceptance().is_err());
     }
 
     #[test]

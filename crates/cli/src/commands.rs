@@ -227,6 +227,27 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
     }
 }
 
+/// A core-list narrowing method of `narrow --method`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NarrowMethod {
+    Exact,
+    Greedy,
+    TopK,
+    Random,
+    Peel,
+}
+
+fn parse_narrow_method(name: &str) -> Result<NarrowMethod, String> {
+    match name {
+        "exact" | "ilp" => Ok(NarrowMethod::Exact),
+        "greedy" => Ok(NarrowMethod::Greedy),
+        "topk" | "top-k" => Ok(NarrowMethod::TopK),
+        "random" => Ok(NarrowMethod::Random),
+        "peel" | "peeling" => Ok(NarrowMethod::Peel),
+        other => Err(format!("unknown narrowing method {other:?}")),
+    }
+}
+
 fn parse_scheme(name: &str) -> Result<OpinionScheme, String> {
     match name.to_lowercase().as_str() {
         "binary" => Ok(OpinionScheme::Binary),
@@ -514,24 +535,25 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
         return Err(CliError::usage("missing required flag --target"));
     }
     let k: usize = args.get_or("k", 3)?;
-    let method = args.get("method").unwrap_or("exact").to_lowercase();
+    let method_name = args.get("method").unwrap_or("exact").to_lowercase();
+    let method = parse_narrow_method(&method_name)?;
     // Only the exact search reads --threads and --time-limit-ms; another
     // method would silently ignore them.
-    if !matches!(method.as_str(), "exact" | "ilp") {
+    if method != NarrowMethod::Exact {
         if let Some(flag) = ["threads", "time-limit-ms"]
             .into_iter()
             .find(|flag| args.get(flag).is_some())
         {
             return Err(CliError::usage(format!(
-                "narrow --method {method} does not take --{flag}"
+                "narrow --method {method_name} does not take --{flag}"
             )));
         }
     }
     let seed = seed_flag(
         args,
         "narrow",
-        &format!("--method {method}"),
-        method == "random",
+        &format!("--method {method_name}"),
+        method == NarrowMethod::Random,
     )?;
     let max_comp: usize = args.get_or("max-comparatives", 12)?;
     let params = select_params(args)?;
@@ -556,8 +578,8 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
         comparesets_core::solve_comparesets_plus_with(&ctx, &params, &opts)
     };
     let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);
-    let vertices = match method.as_str() {
-        "exact" | "ilp" => {
+    let vertices = match method {
+        NarrowMethod::Exact => {
             let result = solve_exact(&graph, 0, k, &exact_opts);
             if opts.cancel.as_deref().is_some_and(CancelToken::fired) {
                 return Err(CliError::deadline(format!(
@@ -568,19 +590,14 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
             }
             result.vertices
         }
-        "greedy" => graph_greedy(&graph, 0, k),
-        "topk" | "top-k" => solve_top_k_similarity(&graph, 0, k),
-        "random" => solve_random_k(&graph, 0, k, seed),
-        "peel" | "peeling" => improve_by_swaps(&graph, &solve_peeling(&graph, Some(0), k), &[0]),
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown narrowing method {other:?}"
-            )))
-        }
+        NarrowMethod::Greedy => graph_greedy(&graph, 0, k),
+        NarrowMethod::TopK => solve_top_k_similarity(&graph, 0, k),
+        NarrowMethod::Random => solve_random_k(&graph, 0, k, seed),
+        NarrowMethod::Peel => improve_by_swaps(&graph, &solve_peeling(&graph, Some(0), k), &[0]),
     };
 
     let mut out = format!(
-        "method: {method} | k = {k} | candidates = {} | core weight = {:.4}\n",
+        "method: {method_name} | k = {k} | candidates = {} | core weight = {:.4}\n",
         ctx.num_items() - 1,
         graph.subgraph_weight(&vertices)
     );
@@ -1378,6 +1395,57 @@ mod tests {
         let e = eval_outcome(&report, Some("report.txt")).unwrap_err();
         assert_eq!(e.exit_code(), 1, "{e}");
         assert!(!e.output().contains("fine output"), "{}", e.output());
+    }
+
+    #[test]
+    fn eval_metrics_json_counts_every_experiment_solve() {
+        let dir = TempDir::new("cli_eval_metrics").unwrap();
+        let path = dir.join("metrics.json");
+        let printed = run(&[
+            "eval",
+            "--config",
+            "tiny",
+            "--experiments",
+            "table5",
+            "--metrics-json",
+            path.to_str().unwrap(),
+        ])
+        .unwrap();
+        let row = printed
+            .lines()
+            .find(|line| line.starts_with("table5 "))
+            .expect("summary row printed");
+        let pursuits: u64 = row
+            .split("pursuits")
+            .nth(1)
+            .and_then(|rest| rest.split('|').next())
+            .and_then(|count| count.trim().parse().ok())
+            .expect("summary row counts pursuits");
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let report: MetricsReport = serde_json::from_str(&raw).unwrap();
+        assert!(pursuits > 0, "{row}");
+        assert_eq!(report.metrics.nomp_pursuits, pursuits, "{row}");
+        assert!(report.metrics.bnb_nodes > 0, "{raw}");
+    }
+
+    #[test]
+    fn unknown_values_are_usage_errors_before_the_corpus_is_read() {
+        // The corpus does not exist: a usage error proves the value is
+        // checked before the filesystem.
+        for (command, flag) in [("select", "--algorithm"), ("narrow", "--method")] {
+            let e = run(&[
+                command,
+                "--corpus",
+                "/nonexistent/zz.json",
+                "--target",
+                "0",
+                flag,
+                "bogus",
+            ])
+            .unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{command} {flag}: {e}");
+            assert!(e.to_string().contains("\"bogus\""), "{e}");
+        }
     }
 
     #[test]

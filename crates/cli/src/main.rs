@@ -35,23 +35,64 @@ fn main() -> ExitCode {
             "internal error: {cause}"
         )))
     });
+    report(result, &mut std::io::stdout(), &mut std::io::stderr())
+}
+
+/// Print a command's outcome and return its exit code: the output on
+/// `stdout`; an error, and after a usage error the usage text, on
+/// `stderr`. Write errors are ignored: a closed pipe (say, into `head`)
+/// is not a failure of the command and must not become a panic.
+fn report(
+    result: Result<String, error::CliError>,
+    stdout: &mut impl Write,
+    stderr: &mut impl Write,
+) -> ExitCode {
     match result {
         Ok(output) => {
-            // A closed stdout (e.g. piped into `head`) is not a failure of
-            // the command — swallow the write error instead of panicking.
-            let _ = writeln!(std::io::stdout(), "{output}");
+            let _ = writeln!(stdout, "{output}");
             ExitCode::SUCCESS
         }
         Err(e) => {
             if !e.output().is_empty() {
-                let _ = writeln!(std::io::stdout(), "{}", e.output());
+                let _ = writeln!(stdout, "{}", e.output());
             }
-            eprintln!("error: {e}");
+            let _ = writeln!(stderr, "error: {e}");
             if e.kind == ErrorKind::Usage {
-                eprintln!();
-                eprintln!("{}", commands::USAGE);
+                let _ = writeln!(stderr, "\n{}", commands::USAGE);
             }
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A pipe whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn closed_pipes_keep_the_exit_code() {
+        let usage = error::CliError::usage("unknown algorithm \"bogus\"")
+            .with_output("partial".to_string());
+        assert_eq!(
+            report(Err(usage), &mut ClosedPipe, &mut ClosedPipe),
+            ExitCode::from(2)
+        );
+        assert_eq!(
+            report(Ok("done".to_string()), &mut ClosedPipe, &mut ClosedPipe),
+            ExitCode::SUCCESS
+        );
     }
 }

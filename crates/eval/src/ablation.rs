@@ -18,11 +18,8 @@ use comparesets_core::{
     solve_exhaustive_item, Algorithm, SelectParams,
 };
 use comparesets_data::CategoryPreset;
-use comparesets_graph::{
-    improve_by_swaps, solve_exact, solve_peeling, ExactOptions, SimilarityGraph,
-};
+use comparesets_graph::{improve_by_swaps, solve_exact, solve_peeling, SimilarityGraph};
 use comparesets_stats::bootstrap_mean_ci;
-use std::time::Duration;
 
 use crate::config::EvalConfig;
 use crate::pipeline::{dataset_for, prepare_instances, run_algorithm_cfg};
@@ -144,10 +141,7 @@ pub fn run(cfg: &EvalConfig) -> Ablation {
 
     // --- 4. peeling vs exact --------------------------------------------------
     let k = 3usize;
-    let mut options =
-        ExactOptions::default().with_time_limit(Duration::from_millis(cfg.exact_time_limit_ms));
-    options.cancel = cfg.solve_options.cancel.clone();
-    options.metrics = cfg.solve_options.metrics.clone();
+    let options = cfg.exact_options();
     let plus = run_algorithm_cfg(&instances, Algorithm::CompareSetsPlus, &params, cfg);
     let mut omega_exact = 0.0;
     let mut omega_peel = 0.0;

@@ -5,8 +5,7 @@
 
 use comparesets_core::{Algorithm, SelectParams};
 use comparesets_data::{CategoryPreset, Dataset};
-use comparesets_graph::{solve_exact, ExactOptions, SimilarityGraph};
-use std::time::Duration;
+use comparesets_graph::{solve_exact, SimilarityGraph};
 
 use crate::config::EvalConfig;
 use crate::pipeline::{dataset_for, prepare_instances, run_algorithm_cfg};
@@ -51,10 +50,7 @@ fn case_for(dataset: &Dataset, name: &str, cfg: &EvalConfig) -> Option<CaseStudy
     };
     let instances = prepare_instances(dataset, cfg);
     let sols = run_algorithm_cfg(&instances, Algorithm::CompareSetsPlus, &params, cfg);
-    let mut options =
-        ExactOptions::default().with_time_limit(Duration::from_millis(cfg.exact_time_limit_ms));
-    options.cancel = cfg.solve_options.cancel.clone();
-    options.metrics = cfg.solve_options.metrics.clone();
+    let options = cfg.exact_options();
     // Pick the first instance with more than k items.
     let (inst, sels) = instances
         .iter()

@@ -9,6 +9,8 @@
 //! (1 = default, 10 ≈ paper-scale instance counts).
 
 use comparesets_core::{OpinionScheme, SolveOptions};
+use comparesets_graph::ExactOptions;
+use std::time::Duration;
 
 /// Knobs shared by all experiments.
 #[derive(Debug, Clone)]
@@ -35,9 +37,9 @@ pub struct EvalConfig {
     pub exact_time_limit_ms: u64,
     /// Solver execution options shared by every experiment solve: warm
     /// starts, the optional metrics collector (`run_suite` installs a
-    /// fresh collector per experiment) and the optional cancellation
-    /// token. Results are identical for every value of the first two —
-    /// see `SolveOptions`.
+    /// fresh collector per experiment and adds its counts into this one)
+    /// and the optional cancellation token. Results are identical for
+    /// every value of the first two — see `SolveOptions`.
     pub solve_options: SolveOptions,
 }
 
@@ -68,6 +70,18 @@ impl EvalConfig {
             products_per_category: base.products_per_category * factor,
             max_instances: base.max_instances * factor,
             ..base
+        }
+    }
+
+    /// Options for the experiments' exact TargetHkS solves: the
+    /// configured time limit, with the suite's cancellation token and
+    /// metrics collector, so `--timeout` preempts them too.
+    pub fn exact_options(&self) -> ExactOptions {
+        ExactOptions {
+            time_limit: Duration::from_millis(self.exact_time_limit_ms),
+            cancel: self.solve_options.cancel.clone(),
+            metrics: self.solve_options.metrics.clone(),
+            ..ExactOptions::default()
         }
     }
 

@@ -228,7 +228,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run one experiment behind the panic boundary with a fresh metrics
-/// collector, returning its outcome and timing.
+/// collector, returning its outcome and timing. Its counts are also added
+/// into the collector `cfg` carries, if any.
 fn run_one(exp: &Experiment, cfg: &EvalConfig) -> (ExperimentOutcome, ExperimentTiming) {
     let collector = Arc::new(SolverMetrics::new());
     let mut exp_cfg = cfg.clone();
@@ -251,6 +252,9 @@ fn run_one(exp: &Experiment, cfg: &EvalConfig) -> (ExperimentOutcome, Experiment
         wall_nanos: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
         metrics: collector.snapshot(),
     };
+    if let Some(run_metrics) = &cfg.solve_options.metrics {
+        run_metrics.add_snapshot(&timing.metrics);
+    }
     (outcome, timing)
 }
 
@@ -270,8 +274,10 @@ fn deadline_fired(cfg: &EvalConfig) -> bool {
 ///
 /// Each experiment runs against a copy of `cfg` with a fresh
 /// [`SolverMetrics`] collector installed, so [`SuiteReport::timings`]
-/// attributes wall time and solver counters per experiment (a collector
-/// the caller pre-installed in `cfg.solve_options` is shadowed).
+/// attributes wall time and solver counters per experiment. A collector
+/// the caller installed in `cfg.solve_options` receives the counts of
+/// every experiment this call runs (not of those restored from a
+/// checkpoint).
 ///
 /// With a `checkpoint` store, the suite state is atomically persisted
 /// after every experiment, and with `resume = true` a matching

@@ -9,10 +9,7 @@
 
 use comparesets_core::{Algorithm, SelectParams};
 use comparesets_data::CategoryPreset;
-use comparesets_graph::{
-    solve_exact, solve_greedy, solve_random_k, ExactOptions, SimilarityGraph, SolveStatus,
-};
-use std::time::Duration;
+use comparesets_graph::{solve_exact, solve_greedy, solve_random_k, SimilarityGraph, SolveStatus};
 
 use crate::config::EvalConfig;
 use crate::pipeline::{dataset_for, prepare_instances, run_algorithm_cfg};
@@ -72,12 +69,7 @@ pub fn run(cfg: &EvalConfig) -> Table5 {
             if work.is_empty() {
                 continue;
             }
-            // Thread the suite's cancellation token and metrics collector
-            // into the exact solves so `--timeout` preempts Table 5 too.
-            let mut options = ExactOptions::default()
-                .with_time_limit(Duration::from_millis(cfg.exact_time_limit_ms));
-            options.cancel = cfg.solve_options.cancel.clone();
-            options.metrics = cfg.solve_options.metrics.clone();
+            let options = cfg.exact_options();
             let results: Vec<(f64, f64, f64, bool)> = work
                 .iter()
                 .map(|(idx, graph)| {

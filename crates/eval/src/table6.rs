@@ -7,10 +7,8 @@
 use comparesets_core::{Algorithm, SelectParams};
 use comparesets_data::CategoryPreset;
 use comparesets_graph::{
-    solve_exact, solve_greedy, solve_random_k, solve_top_k_similarity, ExactOptions,
-    SimilarityGraph,
+    solve_exact, solve_greedy, solve_random_k, solve_top_k_similarity, SimilarityGraph,
 };
-use std::time::Duration;
 
 use crate::config::EvalConfig;
 use crate::metrics::{alignment_among_items, alignment_target_vs_comparatives, RougeTriple};
@@ -82,10 +80,7 @@ pub struct Table6 {
 /// Run the experiment.
 pub fn run(cfg: &EvalConfig) -> Table6 {
     let mut blocks = Vec::new();
-    let mut options =
-        ExactOptions::default().with_time_limit(Duration::from_millis(cfg.exact_time_limit_ms));
-    options.cancel = cfg.solve_options.cancel.clone();
-    options.metrics = cfg.solve_options.metrics.clone();
+    let options = cfg.exact_options();
     for &preset in &CategoryPreset::ALL {
         let dataset = dataset_for(preset, cfg);
         let instances = prepare_instances(&dataset, cfg);

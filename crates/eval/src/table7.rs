@@ -8,9 +8,8 @@
 
 use comparesets_core::{Algorithm, SelectParams};
 use comparesets_data::CategoryPreset;
-use comparesets_graph::{solve_exact, ExactOptions, SimilarityGraph};
+use comparesets_graph::{solve_exact, SimilarityGraph};
 use comparesets_stats::{krippendorff_alpha, Metric};
-use std::time::Duration;
 
 use crate::config::EvalConfig;
 use crate::pipeline::{dataset_for, prepare_instances, run_algorithm_cfg};
@@ -53,10 +52,7 @@ pub fn run(cfg: &EvalConfig) -> Table7 {
         lambda: cfg.lambda,
         mu: cfg.mu,
     };
-    let mut options =
-        ExactOptions::default().with_time_limit(Duration::from_millis(cfg.exact_time_limit_ms));
-    options.cancel = cfg.solve_options.cancel.clone();
-    options.metrics = cfg.solve_options.metrics.clone();
+    let options = cfg.exact_options();
 
     // Collect (example, per-algorithm latent utilities).
     let mut example_utilities = Vec::new();

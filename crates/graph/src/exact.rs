@@ -17,23 +17,25 @@
 //!   (the `r` heaviest anchors into the chosen set plus the `C(r,2)`
 //!   heaviest candidate–candidate edges). Both dominate every completion;
 //!   their minimum prunes strictly earlier than either alone.
+//! * **Best-first frontier** — subproblems above depth `SPAWN_DEPTH` = 2
+//!   (vertices chosen beyond the target) are tasks in one frontier ordered
+//!   by their bound, so the most promising open subtree is always searched
+//!   next; a deeper subtree runs as a depth-first search inside its task.
+//!   Both branch over candidates in order of marginal gain into the chosen
+//!   set. On timeout the largest bound left in the frontier (or abandoned
+//!   mid-task) certifies the anytime gap.
+//! * **Workers** — the calling thread is worker 0, and
+//!   [`ExactOptions::threads`] − 1 scoped `std::thread` helpers (the
+//!   discipline `comparesets-serve` uses for connections) pull from the
+//!   same frontier and share the incumbent through an atomic weight. Every
+//!   worker count explores the same space and proves the same optimum.
 //! * **Preemption** — the workspace-standard [`CancelToken`] machinery:
 //!   an internal deadline token armed from [`ExactOptions::time_limit`]
 //!   plus an optional external token on [`ExactOptions::cancel`], polled
-//!   once per node. On expiry the incumbent is returned with
+//!   once per expanded node. On expiry the incumbent is returned with
 //!   [`SolveStatus::TimeLimit`] and a valid optimality [`ExactResult::gap`]
 //!   (anytime semantics matching `DeadlineExceeded { best_so_far }` on the
 //!   solve path, ARCHITECTURE.md §8).
-//! * **Parallel search** — with [`ExactOptions::threads`] ≥ 2 the solver
-//!   spawns scoped worker threads over a shared best-first frontier of
-//!   subproblems (subtrees above depth `SPAWN_DEPTH` = 2 become frontier
-//!   tasks, deeper subtrees run as sequential DFS inside a task to bound
-//!   scheduling overhead) with a CAS-improved atomic incumbent. The
-//!   workers are scoped `std::thread`s, the same discipline
-//!   `comparesets-serve` uses for connections. Sequential and parallel
-//!   runs prove the same optimum; on timeout the frontier's surviving
-//!   bounds yield a much tighter anytime gap than the sequential root
-//!   bound (ARCHITECTURE.md §3).
 
 use crate::greedy::solve_greedy;
 use crate::similarity::SimilarityGraph;
@@ -47,10 +49,10 @@ use std::time::Duration;
 /// incumbent by more than this (guards against FP noise in weight sums).
 const EPS: f64 = 1e-12;
 
-/// Tree depth (vertices chosen beyond the target) above which a parallel
-/// search publishes subtrees to the shared frontier as stealable tasks;
-/// below it a task runs as plain DFS. At least 1: the root must expand
-/// for there to be parallelism.
+/// Tree depth (vertices chosen beyond the target) above which the search
+/// publishes subtrees to the shared frontier as tasks; below it a task
+/// runs as plain DFS, which bounds the frontier's size and locking. At
+/// least 1: the root must expand for a second worker to find work.
 const SPAWN_DEPTH: usize = 2;
 
 /// Termination status of the exact solver.
@@ -71,16 +73,17 @@ pub struct ExactOptions {
     /// without an external token, via an internal deadline
     /// [`CancelToken`].
     pub time_limit: Duration,
-    /// Worker threads. `0` and `1` run the sequential depth-first search;
-    /// `n ≥ 2` spawns `n` scoped OS threads over the shared best-first
-    /// frontier. Both modes prove the same optimal weight.
+    /// Workers over the shared best-first frontier: the calling thread
+    /// plus `threads − 1` scoped helper threads, so `0` and `1` both
+    /// search on the calling thread alone. Every count proves the same
+    /// optimal weight.
     pub threads: usize,
-    /// Optional external cancellation latch, polled once per node
-    /// alongside the internal deadline. A pre-fired token returns the
+    /// Optional external cancellation latch, polled once per expanded
+    /// node alongside the internal deadline. A pre-fired token returns the
     /// greedy warm-start incumbent immediately with
     /// [`SolveStatus::TimeLimit`]; `CancelToken::cancel_after` budgets
-    /// give tests deterministic kill points (sequential mode only —
-    /// parallel workers race for the budget).
+    /// give tests deterministic kill points with one worker (more workers
+    /// race for the budget).
     pub cancel: Option<Arc<CancelToken>>,
     /// Optional solver-metrics collector: `bnb_nodes`, `bnb_prunes`,
     /// `bnb_incumbent_updates`, and `bnb_steals` (plus
@@ -89,7 +92,7 @@ pub struct ExactOptions {
 }
 
 impl Default for ExactOptions {
-    /// The paper's protocol: 60-second limit, sequential search.
+    /// The paper's protocol: 60-second limit, one worker.
     fn default() -> Self {
         ExactOptions {
             time_limit: Duration::from_secs(60),
@@ -108,7 +111,7 @@ impl ExactOptions {
         self
     }
 
-    /// This options value solving on `n` worker threads.
+    /// This options value searching with `n` workers.
     #[must_use]
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n;
@@ -234,8 +237,8 @@ impl Counters {
 }
 
 /// Per-solve preemption handle: the internal deadline token plus the
-/// optional external token, polled together once per node. Shared by
-/// reference across workers (both tokens are atomics inside).
+/// optional external token. Shared by reference across workers (both
+/// tokens are atomics inside).
 struct Preempt<'a> {
     deadline: CancelToken,
     external: Option<&'a CancelToken>,
@@ -243,11 +246,11 @@ struct Preempt<'a> {
 }
 
 impl Preempt<'_> {
-    /// One cancellation poll. External polls are counted into
-    /// `cancellation_checks` (matching `SolveCtl`: polls are only counted
-    /// when a caller-installed token exists); the internal deadline is
-    /// part of the solver itself and stays uncounted.
-    fn fired(&self) -> bool {
+    /// The once-per-node cancellation poll. External polls are counted
+    /// into `cancellation_checks` (matching `SolveCtl`: polls are only
+    /// counted when a caller-installed token exists); the internal
+    /// deadline is part of the solver itself and stays uncounted.
+    fn poll(&self) -> bool {
         if let Some(token) = self.external {
             if let Some(m) = self.metrics {
                 SolverMetrics::incr(&m.cancellation_checks);
@@ -257,6 +260,12 @@ impl Preempt<'_> {
             }
         }
         self.deadline.is_cancelled()
+    }
+
+    /// Whether either token has already fired. Not a poll: it counts no
+    /// check and spends no `cancel_after` budget.
+    fn fired(&self) -> bool {
+        self.external.is_some_and(CancelToken::fired) || self.deadline.fired()
     }
 }
 
@@ -274,60 +283,6 @@ fn gain_order(graph: &SimilarityGraph, chosen: &[usize], cands: &[usize]) -> Vec
     order
 }
 
-// ---------------------------------------------------------------------
-// Sequential search (threads <= 1)
-// ---------------------------------------------------------------------
-
-struct SeqSearch<'g, 'p> {
-    graph: &'g SimilarityGraph,
-    k: usize,
-    preempt: &'p Preempt<'p>,
-    best_weight: f64,
-    best_set: Vec<usize>,
-    counters: Counters,
-    timed_out: bool,
-}
-
-impl SeqSearch<'_, '_> {
-    fn dfs(&mut self, chosen: &mut Vec<usize>, current: f64, cands: &[usize]) {
-        self.counters.nodes += 1;
-        if self.preempt.fired() {
-            self.timed_out = true;
-            return;
-        }
-        if chosen.len() == self.k {
-            if current > self.best_weight {
-                self.best_weight = current;
-                self.best_set = chosen.clone();
-                self.counters.incumbent_updates += 1;
-            }
-            return;
-        }
-        let r = self.k - chosen.len();
-        if cands.len() < r {
-            return; // Cannot complete.
-        }
-        if upper_bound(self.graph, chosen, current, cands, r) <= self.best_weight + EPS {
-            self.counters.prunes += 1;
-            return;
-        }
-        let order = gain_order(self.graph, chosen, cands);
-        for (pos, &v) in order.iter().enumerate() {
-            let gain = self.graph.weight_to_set(v, chosen);
-            chosen.push(v);
-            self.dfs(chosen, current + gain, &order[pos + 1..]);
-            chosen.pop();
-            if self.timed_out {
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel search (threads >= 2)
-// ---------------------------------------------------------------------
-
 /// A frontier subproblem: complete `chosen` (weight `current`) using
 /// vertices from `cands` only. Heap-ordered by `ub` so workers always
 /// pull the most promising open subtree (best-first), which is also what
@@ -338,6 +293,7 @@ struct Task {
     chosen: Vec<usize>,
     current: f64,
     cands: Vec<usize>,
+    /// The worker that published the task (the root: worker 0).
     producer: usize,
 }
 
@@ -433,10 +389,11 @@ impl Frontier {
     }
 }
 
-struct ParShared<'g, 'p> {
-    graph: &'g SimilarityGraph,
+/// The state every worker of one solve shares.
+struct Search<'a> {
+    graph: &'a SimilarityGraph,
     k: usize,
-    preempt: &'p Preempt<'p>,
+    preempt: Preempt<'a>,
     incumbent: Incumbent,
     frontier: Frontier,
     /// Max admissible bound over subproblems abandoned mid-flight by a
@@ -445,7 +402,32 @@ struct ParShared<'g, 'p> {
     abandoned_bits: AtomicU64,
 }
 
-impl ParShared<'_, '_> {
+impl<'a> Search<'a> {
+    /// A search seeded with the warm-start incumbent and an empty
+    /// frontier.
+    fn new(
+        graph: &'a SimilarityGraph,
+        k: usize,
+        options: &'a ExactOptions,
+        warm: Vec<usize>,
+    ) -> Self {
+        Search {
+            graph,
+            k,
+            preempt: Preempt {
+                deadline: CancelToken::with_timeout(options.time_limit),
+                external: options.cancel.as_deref(),
+                metrics: options.metrics.as_deref(),
+            },
+            incumbent: Incumbent::new(graph.subgraph_weight(&warm), warm),
+            frontier: Frontier {
+                heap: Mutex::new(BinaryHeap::new()),
+                open: AtomicUsize::new(0),
+            },
+            abandoned_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+        }
+    }
+
     fn record_abandoned(&self, ub: f64) {
         let mut cur = self.abandoned_bits.load(Ordering::Relaxed);
         while ub > f64::from_bits(cur) {
@@ -472,7 +454,7 @@ impl ParShared<'_, '_> {
         counters: &mut Counters,
     ) -> bool {
         counters.nodes += 1;
-        if self.preempt.fired() {
+        if self.preempt.poll() {
             return false;
         }
         if chosen.len() == self.k {
@@ -506,7 +488,7 @@ impl ParShared<'_, '_> {
     /// tasks (above the spawn depth), or solve the subtree by DFS.
     fn process(&self, task: Task, worker: usize, counters: &mut Counters) {
         counters.nodes += 1;
-        if self.preempt.fired() {
+        if self.preempt.poll() {
             self.record_abandoned(task.ub);
             return;
         }
@@ -519,7 +501,7 @@ impl ParShared<'_, '_> {
         let depth = task.chosen.len() - 1;
         let order = gain_order(self.graph, &task.chosen, &task.cands);
         if depth < SPAWN_DEPTH && r > 1 {
-            // Publish each child subtree as a stealable frontier task.
+            // Publish each child subtree as a frontier task.
             let mut chosen = task.chosen.clone();
             for (pos, &v) in order.iter().enumerate() {
                 let rest = &order[pos + 1..];
@@ -565,12 +547,13 @@ impl ParShared<'_, '_> {
         }
     }
 
+    /// One worker: pull the best open task until the frontier is
+    /// exhausted or a token has fired. The counted poll is the one per
+    /// node inside `process`; the check here only stops a worker from
+    /// pulling more work after the kill.
     fn worker(&self, id: usize) -> Counters {
         let mut counters = Counters::default();
-        loop {
-            if self.preempt.fired() {
-                break;
-            }
+        while !self.preempt.fired() {
             match self.frontier.pop() {
                 Some(task) => {
                     if task.producer != id {
@@ -579,12 +562,8 @@ impl ParShared<'_, '_> {
                     self.process(task, id, &mut counters);
                     self.frontier.done();
                 }
-                None => {
-                    if self.frontier.open.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
+                None if self.frontier.open.load(Ordering::SeqCst) == 0 => break,
+                None => std::thread::yield_now(),
             }
         }
         counters
@@ -608,7 +587,6 @@ pub fn solve_exact(
 
     // Warm start with greedy.
     let warm = solve_greedy(graph, target, k);
-    let warm_weight = graph.subgraph_weight(&warm);
 
     // Trivial cases (§3.2: k ∈ {1, 2, n} are easy).
     if k == 1 || k == n {
@@ -628,49 +606,48 @@ pub fn solve_exact(
         };
     }
 
-    let preempt = Preempt {
-        deadline: CancelToken::with_timeout(options.time_limit),
-        external: options.cancel.as_deref(),
-        metrics: options.metrics.as_deref(),
-    };
+    let search = Search::new(graph, k, options, warm);
     let cands: Vec<usize> = (0..n).filter(|&v| v != target).collect();
-    let root_chosen = vec![target];
-    let root_ub = upper_bound(graph, &root_chosen, 0.0, &cands, k - 1);
-
-    let (best_weight, best_set, counters, timed_out, open_ub) = if options.threads >= 2 {
-        solve_parallel(
-            graph,
-            k,
-            root_chosen,
-            cands,
-            root_ub,
-            warm_weight,
-            warm,
-            options,
-            &preempt,
-        )
-    } else {
-        let mut search = SeqSearch {
-            graph,
-            k,
-            preempt: &preempt,
-            best_weight: warm_weight,
-            best_set: warm,
-            counters: Counters::default(),
-            timed_out: false,
-        };
-        let mut chosen = root_chosen;
-        search.dfs(&mut chosen, 0.0, &cands);
-        // The sequential DFS certifies only the root bound on timeout;
-        // the parallel frontier would certify a tighter one.
-        (
-            search.best_weight,
-            search.best_set,
-            search.counters,
-            search.timed_out,
-            root_ub,
-        )
+    let root = Task {
+        ub: upper_bound(graph, &[target], 0.0, &cands, k - 1),
+        chosen: vec![target],
+        current: 0.0,
+        cands,
+        producer: 0,
     };
+    // The calling thread is worker 0. It expands the root before any
+    // helper exists, so the root is no one's steal; then it and the
+    // `threads − 1` helpers drain the frontier.
+    let mut counters = Counters::default();
+    search.process(root, 0, &mut counters);
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..options.threads)
+            .map(|id| {
+                let search = &search;
+                scope.spawn(move || search.worker(id))
+            })
+            .collect();
+        counters.merge(search.worker(0));
+        for helper in helpers {
+            match helper.join() {
+                Ok(helper_counters) => counters.merge(helper_counters),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+
+    // Certificate over everything left unexplored: frontier leftovers
+    // plus subproblems workers abandoned mid-DFS.
+    let mut open_ub = f64::from_bits(search.abandoned_bits.load(Ordering::Relaxed));
+    if let Some(top) = search.frontier.pop() {
+        open_ub = open_ub.max(top.ub);
+    }
+    // TimeLimit only when preempted *and* something unexplored could
+    // still beat the incumbent — if every surviving bound is dominated,
+    // the incumbent is proven optimal even though the clock ran out.
+    let fired = search.preempt.fired();
+    let (best_weight, best_set) = search.incumbent.into_inner();
+    let timed_out = fired && open_ub > best_weight + EPS;
 
     if let Some(metrics) = options.metrics.as_deref() {
         SolverMetrics::add(&metrics.bnb_nodes, counters.nodes);
@@ -682,95 +659,21 @@ pub fn solve_exact(
         }
     }
 
+    let (status, gap) = if timed_out {
+        (SolveStatus::TimeLimit, open_ub - best_weight)
+    } else {
+        (SolveStatus::Optimal, 0.0)
+    };
     let mut vertices = best_set;
     vertices.sort_unstable();
     let weight = graph.subgraph_weight(&vertices);
-    let gap = if timed_out {
-        (open_ub.max(best_weight) - best_weight).max(0.0)
-    } else {
-        0.0
-    };
     ExactResult {
         weight,
         vertices,
-        status: if timed_out {
-            SolveStatus::TimeLimit
-        } else {
-            SolveStatus::Optimal
-        },
+        status,
         nodes: counters.nodes,
         gap,
     }
-}
-
-/// Run the scoped-worker search. Returns the incumbent, merged counters,
-/// whether the solve was preempted, and the tightest certificate on the
-/// unexplored remainder (max bound over frontier leftovers and abandoned
-/// in-flight subproblems; `NEG_INFINITY` when everything was explored).
-#[allow(clippy::too_many_arguments)]
-fn solve_parallel(
-    graph: &SimilarityGraph,
-    k: usize,
-    root_chosen: Vec<usize>,
-    cands: Vec<usize>,
-    root_ub: f64,
-    warm_weight: f64,
-    warm: Vec<usize>,
-    options: &ExactOptions,
-    preempt: &Preempt<'_>,
-) -> (f64, Vec<usize>, Counters, bool, f64) {
-    let shared = ParShared {
-        graph,
-        k,
-        preempt,
-        incumbent: Incumbent::new(warm_weight, warm),
-        frontier: Frontier {
-            heap: Mutex::new(BinaryHeap::new()),
-            open: AtomicUsize::new(0),
-        },
-        abandoned_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-    };
-    shared.frontier.push(Task {
-        ub: root_ub,
-        chosen: root_chosen,
-        current: 0.0,
-        cands,
-        producer: usize::MAX, // the spawner; any worker pull is a steal
-    });
-
-    let mut counters = Counters::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..options.threads)
-            .map(|id| {
-                let shared = &shared;
-                scope.spawn(move || shared.worker(id))
-            })
-            .collect();
-        for handle in handles {
-            if let Ok(worker_counters) = handle.join() {
-                counters.merge(worker_counters);
-            }
-        }
-    });
-
-    // Certificate over everything left unexplored: frontier leftovers
-    // plus subproblems workers abandoned mid-DFS.
-    let mut open_ub = f64::from_bits(shared.abandoned_bits.load(Ordering::Relaxed));
-    if let Ok(heap) = shared.frontier.heap.lock() {
-        if let Some(top) = heap.peek() {
-            open_ub = open_ub.max(top.ub);
-        }
-    }
-    let (best_weight, best_set) = shared.incumbent.into_inner();
-    // TimeLimit only when preempted *and* something unexplored could
-    // still beat the incumbent — if every surviving bound is dominated,
-    // the incumbent is proven optimal even though the clock ran out.
-    let fired = preempt.deadline.fired()
-        || preempt
-            .external
-            .is_some_and(comparesets_obs::CancelToken::fired);
-    let timed_out = fired && open_ub > best_weight + EPS;
-    (best_weight, best_set, counters, timed_out, open_ub)
 }
 
 #[cfg(test)]
@@ -907,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_token_is_deterministic_in_both_modes() {
+    fn pre_cancelled_token_is_deterministic_for_one_and_four_workers() {
         let g = figure4_graph();
         let token = Arc::new(CancelToken::new());
         token.cancel();
@@ -940,6 +843,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn only_a_task_another_worker_published_counts_as_a_steal() {
+        // Worker 1 pulls the root that worker 0 published (one steal),
+        // then only subtrees it published itself (no further steals).
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let n = 12;
+        let mut w = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let v: f64 = rng.random_range(0.0..10.0);
+                w[i * n + j] = v;
+                w[j * n + i] = v;
+            }
+        }
+        let g = crate::similarity::SimilarityGraph::from_weights(n, w);
+        let options = opts();
+        let search = Search::new(&g, 5, &options, crate::greedy::solve_greedy(&g, 0, 5));
+        search.frontier.push(Task {
+            ub: f64::INFINITY,
+            chosen: vec![0],
+            current: 0.0,
+            cands: (1..n).collect(),
+            producer: 0,
+        });
+        let counters = search.worker(1);
+        assert_eq!(counters.steals, 1);
+        assert!(counters.nodes > 1, "worker 1 also expanded its own tasks");
     }
 
     #[test]

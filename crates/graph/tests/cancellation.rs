@@ -5,11 +5,12 @@
 //! a gap that really bounds the optimum — at *every* kill point, which
 //! `CancelToken::cancel_after` check budgets make deterministic.
 //!
-//! The file also pins the no-token sequential solver bit-identically to
-//! the previous-generation implementation (embedded below as
-//! [`reference_solve`]): the stronger `min(B1, B2)` bound may only prune
-//! subtrees that contain no strict improvement, so the incumbent
-//! trajectory — and therefore the result — must be unchanged.
+//! The file also pins the no-token one-worker solve to the
+//! previous-generation depth-first implementation (embedded below as
+//! [`reference_solve`]). The best-first order and the stronger
+//! `min(B1, B2)` bound change the search path but not the optimum, and on
+//! these instances the optimum is unique, so the vertex set and the
+//! weight's bits must match.
 
 use comparesets_core::{solve_comparesets_plus, InstanceContext, OpinionScheme, SelectParams};
 use comparesets_data::CategoryPreset;
@@ -164,9 +165,9 @@ fn gap_is_a_valid_optimality_bound_at_every_kill_point() {
 
 #[test]
 fn sequential_kill_points_are_deterministic() {
-    // The check-budget hook fires after exactly `budget` polls and the
-    // sequential search polls once per node, so two runs with the same
-    // budget must agree bit for bit (this is what de-flaked the old
+    // The check-budget hook fires after exactly `budget` polls and one
+    // worker polls once per node, so two runs with the same budget must
+    // agree bit for bit (this is what de-flaked the old
     // Instant-polling zero-time-limit test).
     let mut rng = ChaCha8Rng::seed_from_u64(0xfeed);
     let g = random_graph(&mut rng, 13, 10.0);

@@ -1,13 +1,14 @@
-//! Oracle-equivalence suite for the parallel anytime branch-and-bound.
+//! Oracle-equivalence suite for the anytime branch-and-bound at every
+//! worker count.
 //!
-//! Two layers of evidence that the parallel solver is *exact*:
+//! Two layers of evidence that the solver is *exact*:
 //!
 //! 1. On every instance small enough to enumerate (n ≤ 14) the solver —
-//!    sequential and parallel — must agree with a brute-force oracle that
-//!    scores every completion.
-//! 2. On larger seeded instances (no oracle) the parallel solver must
-//!    prove the same optimal weight as the sequential solver for every
-//!    thread count, because both exhaust the same search space.
+//!    with one worker and with several — must agree with a brute-force
+//!    oracle that scores every completion.
+//! 2. On larger seeded instances (no oracle) every worker count must
+//!    prove the same optimal weight as one worker, because all of them
+//!    exhaust the same search space.
 
 use comparesets_graph::{solve_exact, ExactOptions, SimilarityGraph, SolveStatus};
 use rand::prelude::*;
@@ -109,8 +110,8 @@ fn parallel_agrees_with_bruteforce_oracle_up_to_n14() {
 
 #[test]
 fn parallel_weight_matches_sequential_on_larger_instances() {
-    // Beyond oracle reach: both modes exhaust the same space, so the
-    // proven optimum must be identical for every thread count.
+    // Beyond oracle reach: every worker count exhausts the same space, so
+    // the proven optimum must be identical for every thread count.
     let mut rng = ChaCha8Rng::seed_from_u64(0x5ca1ab1e);
     for trial in 0..6 {
         let n = rng.random_range(18..=24);

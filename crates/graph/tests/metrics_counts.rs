@@ -27,49 +27,33 @@ fn random_graph(rng: &mut ChaCha8Rng, n: usize, max_w: f64) -> SimilarityGraph {
 }
 
 #[test]
-fn zero_weight_graph_has_exact_counts_in_both_modes() {
+fn zero_weight_graph_has_exact_counts_for_one_and_four_workers() {
     // All weights zero: greedy already achieves the optimum (0.0), so the
     // root's upper bound (also 0.0) cannot beat the incumbent and the
-    // whole tree collapses into a single root prune. Sequentially that is
-    // one node and one prune; in parallel the lone root *task* is pruned
-    // at pop after one steal from the spawner. Incumbent never improves.
+    // whole tree collapses into a single root prune: one node and one
+    // prune for every worker count. The calling thread expands the root
+    // before any helper exists, so nothing is ever stolen, and the
+    // incumbent never improves.
     let g = zero_graph(6);
-
-    let metrics = Arc::new(SolverMetrics::new());
-    let r = solve_exact(
-        &g,
-        0,
-        3,
-        &ExactOptions::default().with_metrics(Arc::clone(&metrics)),
-    );
-    assert_eq!(r.status, SolveStatus::Optimal);
-    assert_eq!(r.weight, 0.0);
-    let snap = metrics.snapshot();
-    assert_eq!(snap.bnb_nodes, 1);
-    assert_eq!(snap.bnb_prunes, 1);
-    assert_eq!(snap.bnb_incumbent_updates, 0);
-    assert_eq!(snap.bnb_steals, 0);
-    assert_eq!(r.nodes, snap.bnb_nodes);
-
-    let metrics = Arc::new(SolverMetrics::new());
-    let r = solve_exact(
-        &g,
-        0,
-        3,
-        &ExactOptions::default()
-            .with_threads(4)
-            .with_metrics(Arc::clone(&metrics)),
-    );
-    assert_eq!(r.status, SolveStatus::Optimal);
-    let snap = metrics.snapshot();
-    // Order-independent totals match the sequential run exactly.
-    assert_eq!(snap.bnb_nodes, 1);
-    assert_eq!(snap.bnb_prunes, 1);
-    assert_eq!(snap.bnb_incumbent_updates, 0);
-    // The root task was produced by the spawner, so whichever worker
-    // pulls it records the solve's one cross-worker transfer.
-    assert_eq!(snap.bnb_steals, 1);
-    assert_eq!(r.nodes, snap.bnb_nodes);
+    for threads in [1, 4] {
+        let metrics = Arc::new(SolverMetrics::new());
+        let r = solve_exact(
+            &g,
+            0,
+            3,
+            &ExactOptions::default()
+                .with_threads(threads)
+                .with_metrics(Arc::clone(&metrics)),
+        );
+        assert_eq!(r.status, SolveStatus::Optimal, "threads {threads}");
+        assert_eq!(r.weight, 0.0);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.bnb_nodes, 1, "threads {threads}");
+        assert_eq!(snap.bnb_prunes, 1, "threads {threads}");
+        assert_eq!(snap.bnb_incumbent_updates, 0, "threads {threads}");
+        assert_eq!(snap.bnb_steals, 0, "threads {threads}");
+        assert_eq!(r.nodes, snap.bnb_nodes);
+    }
 }
 
 #[test]
@@ -110,14 +94,18 @@ fn parallel_aggregate_equals_result_nodes() {
             5,
             &ExactOptions::default()
                 .with_threads(threads)
+                .with_cancel(Arc::new(CancelToken::new()))
                 .with_metrics(Arc::clone(&metrics)),
         );
         assert_eq!(r.status, SolveStatus::Optimal);
         let snap = metrics.snapshot();
         // Every node any worker expanded is in both the result and the
-        // collector; the root pull is always at least one steal.
+        // collector, and each one polled the token exactly once.
         assert_eq!(r.nodes, snap.bnb_nodes, "threads {threads}");
-        assert!(snap.bnb_steals >= 1, "threads {threads}");
+        assert_eq!(
+            snap.cancellation_checks, snap.bnb_nodes,
+            "threads {threads}"
+        );
         // A solved-to-optimality run found the optimum or confirmed the
         // warm start: updates are bounded by leaf visits.
         assert!(snap.bnb_incumbent_updates <= snap.bnb_nodes);
@@ -128,23 +116,36 @@ fn parallel_aggregate_equals_result_nodes() {
 fn cancellation_counters_fire_on_preemption() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xd00d);
     let g = random_graph(&mut rng, 12, 10.0);
-    let metrics = Arc::new(SolverMetrics::new());
-    let token = Arc::new(CancelToken::cancel_after(3));
-    let r = solve_exact(
-        &g,
-        0,
-        5,
-        &ExactOptions::default()
-            .with_cancel(token)
-            .with_metrics(Arc::clone(&metrics)),
-    );
-    assert_eq!(r.status, SolveStatus::TimeLimit);
-    let snap = metrics.snapshot();
-    // One poll per expanded node (the external token is polled first),
-    // and exactly one deadline expiration for the preempted solve.
-    assert_eq!(snap.cancellation_checks, snap.bnb_nodes);
-    assert_eq!(snap.deadline_expirations, 1);
-    // The kill point is the budget: three polls pass, the fourth fires,
-    // so exactly four nodes were entered.
+    let kill_after_three_polls = |threads: usize| {
+        let metrics = Arc::new(SolverMetrics::new());
+        let token = Arc::new(CancelToken::cancel_after(3));
+        let r = solve_exact(
+            &g,
+            0,
+            5,
+            &ExactOptions::default()
+                .with_threads(threads)
+                .with_cancel(token)
+                .with_metrics(Arc::clone(&metrics)),
+        );
+        assert_eq!(r.status, SolveStatus::TimeLimit, "threads {threads}");
+        let snap = metrics.snapshot();
+        // One counted poll per expanded node, whichever worker expanded
+        // it, and exactly one deadline expiration for the preempted solve.
+        assert_eq!(
+            snap.cancellation_checks, snap.bnb_nodes,
+            "threads {threads}"
+        );
+        assert_eq!(snap.deadline_expirations, 1, "threads {threads}");
+        assert_eq!(r.nodes, snap.bnb_nodes, "threads {threads}");
+        snap
+    };
+    // With one worker the kill point is the budget: three polls pass, the
+    // fourth fires, so exactly four nodes were entered.
+    let snap = kill_after_three_polls(1);
+    assert_eq!(snap.cancellation_checks, 4);
     assert_eq!(snap.bnb_nodes, 4);
+    for threads in [2, 4] {
+        kill_after_three_polls(threads);
+    }
 }

@@ -40,8 +40,9 @@ pub const METRICS_SCHEMA: &str = "comparesets-metrics/v8";
 
 /// Generates, from one list of `name: "meaning"` entries, the live
 /// [`SolverMetrics`] block, its frozen [`MetricsSnapshot`],
-/// [`SolverMetrics::snapshot`], and the [`COUNTERS`] table. All four keep
-/// declaration order, which is also the order of a report's keys.
+/// [`SolverMetrics::snapshot`], [`SolverMetrics::add_snapshot`], and the
+/// [`COUNTERS`] table. All of them keep declaration order, which is also
+/// the order of a report's keys.
 macro_rules! counters {
     ($($name:ident: $doc:literal,)+) => {
         /// Shared counter block for one logical run (a CLI command, an
@@ -65,6 +66,12 @@ macro_rules! counters {
             /// Freeze the counters into a plain-data snapshot.
             pub fn snapshot(&self) -> MetricsSnapshot {
                 MetricsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+
+            /// Add every counter of `snapshot` into this block (an eval
+            /// experiment's totals into the whole run's collector).
+            pub fn add_snapshot(&self, snapshot: &MetricsSnapshot) {
+                $(Self::add(&self.$name, snapshot.$name);)+
             }
         }
 
@@ -129,7 +136,7 @@ counters! {
     bnb_incumbent_updates: "Strict improvements published to the shared incumbent (the greedy \
         warm start seeds it and does not count).",
     bnb_steals: "Frontier subproblems a worker pulled that a different worker produced (always \
-        0 sequentially).",
+        0 with one worker).",
     faults_injected: "Faults a chaos-plane schedule injected into durability I/O (always 0 in \
         production, where no plane is armed).",
     drain_initiated: "Graceful drains begun (SIGTERM or in-band shutdown while serving).",

@@ -219,10 +219,11 @@ stream-smoke:
     echo "stream smoke ok"
 
 # Graph solver smoke: one-sample run of the TargetHkS scaling bench
-# (smoke mode never rewrites BENCH_targethks.json), then an end-to-end
-# parallel exact narrowing through the CLI requiring nonzero
-# branch-and-bound counters in the metrics report (mirrors the
-# "Graph smoke" CI step).
+# (smoke mode never rewrites BENCH_targethks.json), then end-to-end
+# exact narrowing through the CLI with four workers and with one: both
+# must print the same core list and report nonzero branch-and-bound
+# nodes, and one worker never steals a task (mirrors the "Graph smoke"
+# CI step).
 graph-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -231,12 +232,16 @@ graph-smoke:
     COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench --bench targethks_scaling
     cargo run --release -p comparesets-cli -- generate \
         --category cellphone --products 40 --seed 7 --out "$tmp/corpus.json"
-    cargo run --release -p comparesets-cli -- narrow \
-        --corpus "$tmp/corpus.json" --target 2 --k 3 --method exact \
-        --threads 4 --metrics-json "$tmp/metrics.json"
-    grep -q '"bnb_nodes":' "$tmp/metrics.json"
-    ! grep -q '"bnb_nodes":0' "$tmp/metrics.json"
-    ! grep -q '"bnb_steals":0' "$tmp/metrics.json"
+    for threads in 4 1; do
+        cargo run --release -p comparesets-cli -- narrow \
+            --corpus "$tmp/corpus.json" --target 2 --k 3 --method exact \
+            --threads "$threads" --metrics-json "$tmp/metrics$threads.json" \
+            > "$tmp/narrow$threads.txt"
+        grep -q '"bnb_nodes":' "$tmp/metrics$threads.json"
+        ! grep -q '"bnb_nodes":0' "$tmp/metrics$threads.json"
+    done
+    cmp "$tmp/narrow4.txt" "$tmp/narrow1.txt"
+    grep -q '"bnb_steals":0[,}]' "$tmp/metrics1.json"
     echo "graph smoke ok"
 
 # Chaos smoke: 1000 seeded fault schedules against the durable store
