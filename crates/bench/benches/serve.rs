@@ -4,15 +4,15 @@
 //! (cache enabled and pre-warmed — repeat queries hit the memoized
 //! path).
 //!
-//! This is a latency-distribution harness, not a criterion bench: each
-//! workload runs real client threads over real sockets against an
+//! Each workload runs real client threads over real sockets against an
 //! in-process [`comparesets_serve::Server`] and reports percentiles of
 //! the observed round-trip times. Results go to `BENCH_serve.json` at
-//! the workspace root (the committed baseline PERFORMANCE.md quotes).
+//! the workspace root; `crates/bench/tests/schema.rs` checks that the
+//! warm p50 is at least 5× the cold one at 8 clients.
 //!
-//! Setting `COMPARESETS_BENCH_SMOKE=1` (see `just bench-smoke`) shrinks
-//! the request counts and skips the JSON report, so CI exercises the
-//! full client/server path without touching the baseline.
+//! Setting `COMPARESETS_BENCH_SMOKE=1` shrinks the request counts and
+//! writes nothing, so CI exercises the full client/server path without
+//! touching the baseline.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -22,24 +22,6 @@ use comparesets_serve::{Client, Request, Server, ServerConfig, Status};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// Distinct solve queries cycled by every client. Small enough that the
-/// warm server's cache holds them all; varied enough (items × budget)
-/// that the cold server does real work per shape.
-fn query_pool(dataset: &comparesets_data::Dataset) -> Vec<Request> {
-    let mut pool = Vec::new();
-    for inst in dataset.instances().into_iter().take(3) {
-        let items: Vec<u32> = inst.truncated(4).items.iter().map(|p| p.0).collect();
-        for m in [2usize, 3] {
-            pool.push(Request {
-                m: Some(m),
-                ..Request::solve_items(items.clone())
-            });
-        }
-    }
-    assert!(pool.len() >= 4, "corpus yielded too few query shapes");
-    pool
-}
 
 fn start_server(cache_capacity: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let dataset = comparesets_bench::corpus();
@@ -154,12 +136,12 @@ fn measure(
 }
 
 fn main() {
-    let smoke = std::env::var_os("COMPARESETS_BENCH_SMOKE").is_some();
+    let smoke = comparesets_bench::smoke();
     let client_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 8, 64] };
     let per_client = if smoke { 4 } else { 16 };
 
     let dataset = comparesets_bench::corpus();
-    let pool = query_pool(&dataset);
+    let pool = comparesets_bench::query_pool(&dataset);
 
     let mut measurements = Vec::new();
     measurements.extend(measure("cold", 0, false, client_counts, per_client, &pool));
@@ -167,22 +149,9 @@ fn main() {
 
     let report = ServeBenchReport {
         bench: "serve".to_string(),
-        threads_available: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        threads_available: comparesets_bench::threads_available(),
         measurements,
     };
     report.validate().expect("emitted report is well-formed");
-    if smoke {
-        println!("smoke mode: skipping BENCH_serve.json");
-        return;
-    }
-    // CARGO_MANIFEST_DIR = crates/bench; the report lives at the
-    // workspace root next to PERFORMANCE.md.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("report written");
-    println!("wrote {}", out.display());
+    comparesets_bench::write_report("BENCH_serve.json", &report);
 }

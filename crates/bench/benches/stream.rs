@@ -12,10 +12,10 @@
 //!   N-record WAL tail back into a corpus with [`wal::recover`], i.e.
 //!   restart cost as a function of how long ago the last compaction ran.
 //!
-//! Like `benches/serve.rs` this is a wall-clock harness, not a criterion
-//! bench: real client threads over real sockets, results to
-//! `BENCH_stream.json` at the workspace root. `COMPARESETS_BENCH_SMOKE=1`
-//! shrinks the workloads and skips the JSON report.
+//! Like `benches/serve.rs` it runs real client threads over real
+//! sockets. Results go to `BENCH_stream.json` at the workspace root;
+//! `crates/bench/tests/schema.rs` holds every recovery under 0.465 s.
+//! `COMPARESETS_BENCH_SMOKE=1` shrinks the workloads and writes nothing.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -29,23 +29,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
-
-/// The serve bench's query mix: distinct item-set × budget shapes,
-/// cycled by every query client.
-fn query_pool(dataset: &Dataset) -> Vec<Request> {
-    let mut pool = Vec::new();
-    for inst in dataset.instances().into_iter().take(3) {
-        let items: Vec<u32> = inst.truncated(4).items.iter().map(|p| p.0).collect();
-        for m in [2usize, 3] {
-            pool.push(Request {
-                m: Some(m),
-                ..Request::solve_items(items.clone())
-            });
-        }
-    }
-    assert!(pool.len() >= 4, "corpus yielded too few query shapes");
-    pool
-}
 
 /// Every product the query mix touches — the ingest rotation writes to
 /// these so each ack invalidates live cache entries.
@@ -225,14 +208,14 @@ fn measure_recovery(
 }
 
 fn main() {
-    let smoke = std::env::var_os("COMPARESETS_BENCH_SMOKE").is_some();
+    let smoke = comparesets_bench::smoke();
     let query_counts: &[usize] = if smoke { &[1] } else { &[1, 8] };
     let ingest_events = if smoke { 8 } else { 2000 };
     let tails: &[usize] = if smoke { &[16] } else { &[1000, 4000, 16000] };
     let recovery_samples = if smoke { 1 } else { 3 };
 
     let dataset = comparesets_bench::corpus();
-    let pool = query_pool(&dataset);
+    let pool = comparesets_bench::query_pool(&dataset);
     let targets = queried_products(&pool);
     let root = TempDir::new("bench_stream").expect("bench scratch dir");
 
@@ -258,20 +241,9 @@ fn main() {
 
     let report = StreamBenchReport {
         bench: "stream".to_string(),
-        threads_available: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        threads_available: comparesets_bench::threads_available(),
         measurements,
     };
     report.validate().expect("emitted report is well-formed");
-    if smoke {
-        println!("smoke mode: skipping BENCH_stream.json");
-        return;
-    }
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_stream.json");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("report written");
-    println!("wrote {}", out.display());
+    comparesets_bench::write_report("BENCH_stream.json", &report);
 }

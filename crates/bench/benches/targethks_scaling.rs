@@ -2,27 +2,24 @@
 //! 1-second deadline.
 //!
 //! Every (vertices, k) cell's seeded instance is solved five times by one
-//! worker and five times by two, alternating. The report records whether every solve
-//! closed the cell (proved optimality inside the deadline), and the
-//! median incumbent, gap certificate, node count and wall seconds of each
-//! worker count. Besides the criterion console output, the full grid is
-//! written to `BENCH_targethks.json` at the workspace root;
-//! `crates/bench/tests/schema.rs` re-validates the committed baseline and
-//! enforces `TargetHksBenchReport::two_core_acceptance`: the same optima,
-//! more nodes before the deadline, and sooner proofs on the larger closed
+//! worker and five times by two, alternating. The report records whether
+//! every solve closed the cell (proved optimality inside the deadline),
+//! and the median incumbent, gap certificate, node count and wall seconds
+//! of each worker count. The grid is written to `BENCH_targethks.json` at
+//! the workspace root; `crates/bench/tests/schema.rs` re-validates the
+//! committed baseline and enforces
+//! `TargetHksBenchReport::two_core_acceptance`: the same optima, more
+//! nodes before the deadline, and sooner proofs on the larger closed
 //! cells. That check needs two cores, so take the baseline on at least
 //! two.
 //!
-//! Setting `COMPARESETS_BENCH_SMOKE=1` (see `just graph-smoke`) runs one
-//! sample of one iteration per workload and skips the JSON report, so CI
-//! can exercise every bench body without touching the committed baseline.
+//! Setting `COMPARESETS_BENCH_SMOKE=1` solves the n16/k4 cell once per
+//! worker count and writes nothing.
 
 use comparesets_bench::{TargetHksBenchReport, TargetHksCell};
 use comparesets_graph::{solve_exact, ExactOptions, SimilarityGraph, SolveStatus};
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Heavy-tailed random complete graph. High weight variance is what makes
@@ -42,9 +39,6 @@ fn random_graph(n: usize, seed: u64) -> SimilarityGraph {
     }
     SimilarityGraph::from_weights(n, w)
 }
-
-/// Solves per cell and worker count; each reported value is their median.
-const SOLVES: usize = 5;
 
 /// The median of `values` (the upper one for an even count).
 fn median<T: Copy + PartialOrd>(mut values: Vec<T>) -> T {
@@ -77,12 +71,12 @@ impl Solves {
     }
 }
 
-/// Solve one grid cell `SOLVES` times with one worker and with two,
+/// Solve one grid cell `solves` times with one worker and with two,
 /// alternating, so that both worker counts see the same machine.
-fn run_cell(n: usize, k: usize) -> TargetHksCell {
+fn run_cell(n: usize, k: usize, solves: usize) -> TargetHksCell {
     let graph = random_graph(n, 42 + n as u64);
     let (mut one, mut two) = (Solves::default(), Solves::default());
-    for _ in 0..SOLVES {
+    for _ in 0..solves {
         one.solve(&graph, k, 1);
         two.solve(&graph, k, 2);
     }
@@ -121,32 +115,17 @@ const GRID: &[(usize, usize)] = &[
 ];
 const DEADLINE: Duration = Duration::from_secs(1);
 
-fn bench_scaling(c: &mut Criterion) {
-    // One representative cell per worker count for the criterion/smoke
-    // path; the full grid runs in emit_json() where wall-clock budgets are
-    // not multiplied by criterion sampling.
-    let graph = random_graph(16, 42 + 16);
-    let mut g = c.benchmark_group("targethks_scaling");
-    g.sample_size(10);
-    for workers in [1usize, 2] {
-        let opts = ExactOptions::default()
-            .with_time_limit(Duration::from_millis(200))
-            .with_threads(workers);
-        let label = format!("workers{workers}");
-        g.bench_with_input(BenchmarkId::new(label, "n16/k4"), &graph, |b, gr| {
-            b.iter(|| black_box(solve_exact(gr, 0, 4, &opts)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_scaling);
-
-fn emit_json() {
-    let cells: Vec<TargetHksCell> = GRID
+fn main() {
+    // Smoke mode: the first cell, once per worker count.
+    let (grid, solves) = if comparesets_bench::smoke() {
+        (&GRID[..1], 1)
+    } else {
+        (GRID, 5)
+    };
+    let cells: Vec<TargetHksCell> = grid
         .iter()
         .map(|&(n, k)| {
-            let cell = run_cell(n, k);
+            let cell = run_cell(n, k, solves);
             let state = |closed| if closed { "closed" } else { "open" };
             println!(
                 "{}: one worker {} gap {:.3} ({} nodes, {:.3}s) | two workers {} gap {:.3} \
@@ -167,31 +146,15 @@ fn emit_json() {
 
     let report = TargetHksBenchReport {
         bench: "targethks_scaling".to_string(),
-        threads_available: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        solves: SOLVES,
+        threads_available: comparesets_bench::threads_available(),
+        solves,
         cells,
     };
     report.validate().expect("emitted report is well-formed");
-    report
-        .two_core_acceptance()
-        .expect("grid shows what a second core buys");
-    // CARGO_MANIFEST_DIR = crates/bench; the report lives at the workspace
-    // root next to PERFORMANCE.md.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_targethks.json");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("report written");
-    println!("wrote {}", out.display());
-}
-
-fn main() {
-    benches();
-    // Smoke mode (CI) exercises every bench body once but must never
-    // rewrite the committed baseline with throwaway numbers.
-    if std::env::var_os("COMPARESETS_BENCH_SMOKE").is_none() {
-        emit_json();
+    if !comparesets_bench::smoke() {
+        report
+            .two_core_acceptance()
+            .expect("grid shows what a second core buys");
     }
+    comparesets_bench::write_report("BENCH_targethks.json", &report);
 }

@@ -1,17 +1,17 @@
-//! Serde schema for the machine-readable bench report.
+//! Serde record types of the committed bench reports.
 //!
-//! `benches/parallel_solver.rs` writes `BENCH_parallel_solver.json` at the
-//! workspace root through these types, and the schema tests deserialize
-//! the *committed* report back through the same types — so a drive-by
-//! field rename breaks `cargo test` instead of silently orphaning the
-//! baseline PERFORMANCE.md quotes.
+//! Each bench under `benches/` writes its `BENCH_*.json` at the workspace
+//! root through these types, and `tests/schema.rs` deserializes the
+//! *committed* file back through the same types, so a drive-by field
+//! rename breaks `cargo test` instead of silently orphaning the baseline
+//! PERFORMANCE.md quotes.
 
 use serde::{Deserialize, Serialize};
 
 /// One timed workload of a bench run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Measurement {
-    /// Workload path, e.g. `"solver_parallel/crs/sequential"`.
+    /// Workload path, e.g. `"regression_engine/sparse/csc/16000x80"`.
     pub name: String,
     /// Minimum wall-clock over all samples, in seconds.
     pub seconds_min: f64,
@@ -19,11 +19,11 @@ pub struct Measurement {
     pub samples: usize,
 }
 
-/// The machine-readable report a bench target emits next to its criterion
-/// console output.
+/// The machine-readable report `benches/nomp_sparse.rs` writes to
+/// `BENCH_sparse.json` at the workspace root.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
-    /// Bench target name (e.g. `"parallel_solver"`).
+    /// Bench target name (`"nomp_sparse"`).
     pub bench: String,
     /// `std::thread::available_parallelism()` on the measuring machine.
     pub threads_available: usize,
@@ -414,10 +414,10 @@ mod tests {
 
     fn sample_report() -> BenchReport {
         BenchReport {
-            bench: "parallel_solver".to_string(),
+            bench: "nomp_sparse".to_string(),
             threads_available: 4,
             measurements: vec![Measurement {
-                name: "solver_parallel/crs/sequential".to_string(),
+                name: "regression_engine/sparse/csc/16000x80".to_string(),
                 seconds_min: 0.001,
                 samples: 5,
             }],

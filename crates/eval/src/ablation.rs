@@ -14,8 +14,8 @@
 //!    TargetHkS solver like Table 5 does for Algorithm 2.
 
 use comparesets_core::{
-    comparesets_plus_objective, item_objective, solve, solve_comparesets_plus_sweeps,
-    solve_exhaustive_item, Algorithm, SelectParams,
+    comparesets_plus_objective, item_objective, solve_comparesets_plus_sweeps_with,
+    solve_exhaustive_item, solve_with, Algorithm, SelectParams,
 };
 use comparesets_data::CategoryPreset;
 use comparesets_graph::{improve_by_swaps, solve_exact, solve_peeling, SimilarityGraph};
@@ -69,7 +69,13 @@ pub fn run(cfg: &EvalConfig) -> Ablation {
     let mut gaps = Vec::new();
     let mut exact_hits = 0usize;
     for inst in &instances {
-        let approx = run_once(inst, Algorithm::CompareSets, &params, cfg.seed);
+        let approx = solve_with(
+            &inst.ctx,
+            Algorithm::CompareSets,
+            &params,
+            cfg.seed,
+            &cfg.solve_options,
+        );
         for i in 0..inst.ctx.num_items() {
             // Keep enumeration cheap: skip items with too many reviews.
             if inst.ctx.item(i).num_reviews() > 18 {
@@ -106,7 +112,12 @@ pub fn run(cfg: &EvalConfig) -> Ablation {
     let mut sweep_objectives = [0.0f64; 3];
     for inst in &instances {
         for (si, sweeps) in [1usize, 2, 3].into_iter().enumerate() {
-            let sels = solve_comparesets_plus_sweeps(&inst.ctx, &sweep_params, sweeps);
+            let sels = solve_comparesets_plus_sweeps_with(
+                &inst.ctx,
+                &sweep_params,
+                sweeps,
+                &cfg.solve_options,
+            );
             sweep_objectives[si] +=
                 comparesets_plus_objective(&inst.ctx, &sels, sweep_params.lambda, sweep_params.mu);
         }
@@ -173,15 +184,6 @@ pub fn run(cfg: &EvalConfig) -> Ablation {
     }
 }
 
-fn run_once(
-    inst: &crate::pipeline::PreparedInstance,
-    alg: Algorithm,
-    params: &SelectParams,
-    seed: u64,
-) -> Vec<comparesets_core::Selection> {
-    solve(&inst.ctx, alg, params, seed)
-}
-
 impl Ablation {
     /// Render all four panels.
     pub fn render(&self) -> String {
@@ -227,7 +229,26 @@ mod tests {
 
     #[test]
     fn ablation_has_expected_shapes() {
-        let a = run(&EvalConfig::tiny());
+        let mut cfg = EvalConfig::tiny();
+        let metrics = std::sync::Arc::new(comparesets_core::SolverMetrics::new());
+        cfg.solve_options.metrics = Some(std::sync::Arc::clone(&metrics));
+        let a = run(&cfg);
+        // Every panel solves under the suite's options, so the counters
+        // see them all: per item, one CompaReSetS regression (panel 1),
+        // 2 + 3 + 4 for the 1-, 2- and 3-sweep CompaReSetS+ solves (panel
+        // 2), 1 + 1 + 2 for CRS, CompaReSetS and CompaReSetS+ (panel 3),
+        // and 2 for panel 4's CompaReSetS+.
+        let ds = dataset_for(CategoryPreset::Cellphone, &cfg);
+        let items: usize = prepare_instances(&ds, &cfg)
+            .iter()
+            .map(|inst| inst.ctx.num_items())
+            .sum();
+        let counts = metrics.snapshot();
+        assert_eq!(counts.integer_regressions, 16 * items as u64);
+        assert!(
+            counts.warm_start_hits > 0,
+            "panel 2's later sweeps hit no memo"
+        );
         // 1. IR is near-optimal per item.
         assert!(a.optimality.items_checked > 0);
         assert!(

@@ -6,7 +6,7 @@
 //! paper's shape: CRS and CompaReSetS stay near-flat; CompaReSetS+ grows
 //! roughly linearly in n.
 
-use comparesets_core::{solve, Algorithm, InstanceContext, SelectParams};
+use comparesets_core::{solve_with, Algorithm, InstanceContext, SelectParams};
 use comparesets_data::CategoryPreset;
 use std::time::Instant;
 
@@ -71,7 +71,8 @@ pub fn run(cfg: &EvalConfig) -> Fig7 {
                                 let truncated = inst.truncated(n_comp);
                                 let ctx = InstanceContext::build(&dataset, &truncated, cfg.scheme);
                                 let start = Instant::now();
-                                let _ = solve(&ctx, alg, &params, cfg.seed);
+                                let _ =
+                                    solve_with(&ctx, alg, &params, cfg.seed, &cfg.solve_options);
                                 total += start.elapsed().as_secs_f64() * 1000.0;
                                 count += 1;
                             }
@@ -128,7 +129,12 @@ mod tests {
     fn produces_runtime_grid() {
         let mut cfg = EvalConfig::tiny();
         cfg.max_comparatives = 10; // allow larger truncations
+        let metrics = std::sync::Arc::new(comparesets_core::SolverMetrics::new());
+        cfg.solve_options.metrics = Some(std::sync::Arc::clone(&metrics));
         let f7 = run(&cfg);
+        // The timed solves run under the suite's options, so `--timeout`
+        // and `--metrics-json` reach them.
+        assert!(metrics.snapshot().integer_regressions > 0);
         assert_eq!(f7.series.len(), cfg.ms.len());
         for s in &f7.series {
             assert_eq!(s.millis.len(), TIMED_ALGORITHMS.len());

@@ -10,7 +10,7 @@
 //! It measures no parallel speedup: the suite solves its instances one
 //! after another, so there is no parallel pass to time.
 
-use comparesets_core::{solve_comparesets_plus, SelectParams};
+use comparesets_core::{solve_comparesets_plus_with, SelectParams};
 use comparesets_data::CategoryPreset;
 use std::time::Instant;
 
@@ -61,7 +61,7 @@ pub fn run(cfg: &EvalConfig) -> Scaling {
             let instances = prepare_instances(&dataset, &size_cfg);
             let start = Instant::now();
             for inst in &instances {
-                let _ = solve_comparesets_plus(&inst.ctx, &params);
+                let _ = solve_comparesets_plus_with(&inst.ctx, &params, &cfg.solve_options);
             }
             ScalingRow {
                 products,
@@ -103,7 +103,11 @@ mod tests {
     fn per_instance_cost_stays_flat() {
         let mut cfg = EvalConfig::tiny();
         cfg.max_instances = 12;
+        let metrics = std::sync::Arc::new(comparesets_core::SolverMetrics::new());
+        cfg.solve_options.metrics = Some(std::sync::Arc::clone(&metrics));
         let s = run(&cfg);
+        // The solves run under the suite's options.
+        assert!(metrics.snapshot().integer_regressions > 0);
         assert_eq!(s.rows.len(), CORPUS_SIZES.len());
         for r in &s.rows {
             assert!(r.instances > 0);

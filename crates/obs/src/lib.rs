@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -223,13 +224,20 @@ impl MetricsReport {
     }
 }
 
-/// Stderr subscriber behind [`init_stderr_tracing`]: one line per event,
-/// one line per closed span (with busy time in microseconds).
-struct StderrSubscriber;
+/// Line subscriber behind [`init_stderr_tracing`]: one line per event,
+/// one line per closed span (with busy time in microseconds), each
+/// written to the handle the wrapped function returns
+/// (`std::io::stderr`). A failed write, such as to a closed stderr,
+/// drops the line, as the CLI's own output does.
+struct LineSubscriber<F>(F);
 
-impl tracing::Subscriber for StderrSubscriber {
+impl<F, W> tracing::Subscriber for LineSubscriber<F>
+where
+    F: Fn() -> W + Send + Sync,
+    W: Write,
+{
     fn event(&self, level: tracing::Level, target: &str, message: &str) {
-        eprintln!("{level:>5} {target}: {message}");
+        let _ = writeln!((self.0)(), "{level:>5} {target}: {message}");
     }
 
     fn span_close(
@@ -240,7 +248,8 @@ impl tracing::Subscriber for StderrSubscriber {
         fields: &str,
         busy: Duration,
     ) {
-        eprintln!(
+        let _ = writeln!(
+            (self.0)(),
             "{level:>5} {target}: close {name}{fields} busy={:.1}us",
             busy.as_secs_f64() * 1e6
         );
@@ -253,7 +262,7 @@ impl tracing::Subscriber for StderrSubscriber {
 /// install wins), and the max level is always updated — so the CLI and
 /// tests may call this freely.
 pub fn init_stderr_tracing(level: tracing::Level) {
-    let _ = tracing::subscriber::set_global_default(StderrSubscriber);
+    let _ = tracing::subscriber::set_global_default(LineSubscriber(std::io::stderr));
     tracing::set_max_level(Some(level));
 }
 
@@ -288,5 +297,55 @@ mod tests {
         assert_eq!(back, report);
         assert_eq!(back.metrics.integer_regressions, 12);
         assert!((back.wall_ms - 8.0).abs() < 1e-9);
+    }
+
+    /// A pipe whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn trace_lines_to_a_closed_stderr_are_dropped() {
+        use tracing::Subscriber as _;
+        let closed = LineSubscriber(|| ClosedPipe);
+        closed.event(tracing::Level::INFO, "cli", "select done");
+        closed.span_close(tracing::Level::INFO, "cli", "solve", " m=3", Duration::ZERO);
+
+        let lines = std::sync::Mutex::new(Vec::new());
+        let open = LineSubscriber(|| LockedVec(&lines));
+        open.event(tracing::Level::INFO, "cli", "select done");
+        open.span_close(
+            tracing::Level::DEBUG,
+            "core",
+            "solve",
+            " m=3",
+            Duration::from_micros(12),
+        );
+        assert_eq!(
+            String::from_utf8(lines.into_inner().unwrap()).unwrap(),
+            "INFO cli: select done\nDEBUG core: close solve m=3 busy=12.0us\n"
+        );
+    }
+
+    /// A writer appending to a shared buffer.
+    struct LockedVec<'a>(&'a std::sync::Mutex<Vec<u8>>);
+
+    impl Write for LockedVec<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 }

@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke results-check eval-smoke smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
+ci: fmt-check clippy build test doctest doc perfbench-test perfbench-smoke results-check eval-smoke smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke bench-smoke
 
 fmt:
     cargo fmt
@@ -218,18 +218,15 @@ stream-smoke:
     grep -q '"wal_fsyncs":2' "$tmp/metrics.json"
     echo "stream smoke ok"
 
-# Graph solver smoke: one-sample run of the TargetHkS scaling bench
-# (smoke mode never rewrites BENCH_targethks.json), then end-to-end
-# exact narrowing through the CLI with four workers and with one: both
-# must print the same core list and report nonzero branch-and-bound
-# nodes, and one worker never steals a task (mirrors the "Graph smoke"
-# CI step).
+# Graph solver smoke: end-to-end exact narrowing through the CLI with
+# four workers and with one: both must print the same core list and
+# report nonzero branch-and-bound nodes, and one worker never steals a
+# task (mirrors the "Graph smoke" CI step).
 graph-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
-    COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench --bench targethks_scaling
     cargo run --release -p comparesets-cli -- generate \
         --category cellphone --products 40 --seed 7 --out "$tmp/corpus.json"
     for threads in 4 1; do
@@ -283,27 +280,19 @@ chaos-smoke:
     grep -q 'dropped 0 torn byte(s)' "$tmp/recover.out"
     echo "chaos smoke ok"
 
-# Sparse-kernel smoke: one-sample run of the dense-vs-CSC bench bodies
-# (the regression_engine/sparse/* family behind BENCH_sparse.json).
-# Smoke mode never rewrites the committed baseline; the >=2x acceptance
-# on it is a test in crates/bench/tests/schema.rs (mirrors the "Sparse
-# smoke" CI step).
-sparse-smoke:
-    COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench --bench nomp_sparse
-
-# Refresh the performance baselines (updates BENCH_parallel_solver.json,
-# BENCH_serve.json, BENCH_sparse.json, BENCH_stream.json, and
-# BENCH_targethks.json, see PERFORMANCE.md).
+# Refresh the committed performance baselines (BENCH_sparse.json,
+# BENCH_serve.json, BENCH_stream.json and BENCH_targethks.json, see
+# PERFORMANCE.md). Take them on at least two cores: the tests in
+# crates/bench/tests/schema.rs reject a file measured on one.
 bench-baseline:
-    cargo bench -p comparesets-bench --bench parallel_solver
     cargo bench -p comparesets-bench --bench nomp_sparse
     cargo bench -p comparesets-bench --bench serve
     cargo bench -p comparesets-bench --bench stream
     cargo bench -p comparesets-bench --bench targethks_scaling
 
-# One-sample, one-iteration run of every bench group: proves each bench
-# body executes end-to-end without paying measurement-grade runtimes.
-# COMPARESETS_BENCH_SMOKE also keeps the committed baseline
-# (BENCH_parallel_solver.json) untouched.
+# Every bench body, run small: proves each bench executes end to end
+# without paying measurement-grade runtimes. COMPARESETS_BENCH_SMOKE
+# keeps every committed BENCH_*.json untouched (mirrors the "Bench
+# smoke" CI step).
 bench-smoke:
     COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench
