@@ -7,10 +7,10 @@
 //! 1. Build a design matrix `V` with one column per candidate review —
 //!    an opinion-indicator block stacked on weighted aspect-indicator
 //!    blocks (λ for the Γ block, μ for every other item's φ(Sⱼ) block).
-//!    [`RegressionTask::build`] takes the blocks as `(vector, weight)`
-//!    pairs, so the same builder serves CRS (no aspect blocks),
-//!    CompaReSetS (`[(Γ, λ)]`, Equation 4) and CompaReSetS+
-//!    (`[(Γ, λ), (φ(Sⱼ), μ), …]`).
+//!    [`RegressionTask::try_stack_target`] and [`RegressionTask::new`]
+//!    take the blocks as `(vector, weight)` pairs, so the same builder
+//!    serves CRS (no aspect blocks), CompaReSetS (`[(Γ, λ)]`, Equation 4)
+//!    and CompaReSetS+ (`[(Γ, λ), (φ(Sⱼ), μ), …]`).
 //! 2. Deduplicate identical columns (line 5, [`DedupColumns`]); `cᵢ` caps
 //!    how many copies of a deduplicated column may be selected. The
 //!    grouping is a function of the item alone, so a task borrows it and
@@ -57,7 +57,9 @@
 //! let (tau, gamma) = (space.pi(&item, &all), space.phi(&item, &all));
 //!
 //! let dedup = DedupColumns::build(&item);
-//! let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
+//! let blocks = [(gamma.as_slice(), 1.0)];
+//! let target = RegressionTask::try_stack_target(&space, &tau, &blocks).unwrap();
+//! let task = RegressionTask::new(&space, &item, &dedup, target, &blocks).unwrap();
 //! let evaluate = |s: &comparesets_core::Selection| {
 //!     sq_distance(&tau, &space.pi(&item, &s.indices))
 //!         + sq_distance(&gamma, &space.phi(&item, &s.indices))
@@ -67,7 +69,7 @@
 //! assert!(!sel.is_empty() && sel.len() <= 2);
 //! ```
 
-use comparesets_linalg::{nomp_path, CscMatrix, NompWorkspace, SolveError};
+use comparesets_linalg::{nomp_path, CscMatrix, LinalgError, NompWorkspace};
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
 use crate::error::CoreError;
@@ -151,55 +153,19 @@ pub struct RegressionTask<'a> {
 
 impl<'a> RegressionTask<'a> {
     /// Build the task for one item, whose reviews `dedup` groups
-    /// ([`DedupColumns::build`]).
+    /// ([`DedupColumns::build`]), around its stacked target Υ
+    /// ([`RegressionTask::try_stack_target`] for the same blocks), so a
+    /// caller that stacked Υ for a memo lookup does not stack it twice.
     ///
-    /// `target_blocks` are `(vector, weight)` pairs: the first must be the
-    /// opinion target τᵢ with weight 1; every following block is an
+    /// `aspect_targets` are `(vector, weight)` pairs: each is an
     /// aspect-space target (Γ or some φ(Sⱼ)) with its coefficient (λ or
     /// μ). The matrix mirrors the blocks: the opinion-column block then
     /// one `weight × aspect-indicator` block per aspect target.
     ///
-    /// # Panics
-    /// Panics when blocks have wrong dimensions. Use
-    /// [`RegressionTask::try_build`] for a fallible variant.
-    pub fn build(
-        space: &VectorSpace,
-        item: &Item,
-        dedup: &'a DedupColumns,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-    ) -> Self {
-        match Self::try_build(space, item, dedup, opinion_target, aspect_targets) {
-            Ok(task) => task,
-            Err(e) => panic!("RegressionTask::build: {e}"),
-        }
-    }
-
-    /// Fallible variant of [`RegressionTask::build`].
-    ///
-    /// # Errors
-    /// [`CoreError::DimensionMismatch`] when the opinion target does not
-    /// have the space's opinion dimension or an aspect target does not
-    /// have the aspect dimension.
-    pub fn try_build(
-        space: &VectorSpace,
-        item: &Item,
-        dedup: &'a DedupColumns,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-    ) -> Result<Self, CoreError> {
-        let target = Self::try_stack_target(space, opinion_target, aspect_targets)?;
-        Self::with_target(space, item, dedup, target, aspect_targets)
-    }
-
-    /// Build the task around an already stacked target (the output of
-    /// [`RegressionTask::try_stack_target`] for the same blocks), so a
-    /// caller that stacked Υ for a memo lookup does not stack it twice.
-    ///
     /// # Errors
     /// [`CoreError::DimensionMismatch`] when a design entry falls outside
     /// the target's rows.
-    pub(crate) fn with_target(
+    pub fn new(
         space: &VectorSpace,
         item: &Item,
         dedup: &'a DedupColumns,
@@ -222,16 +188,17 @@ impl<'a> RegressionTask<'a> {
         })
     }
 
-    /// Stack the pre-weighted target vector Υ without building the design
-    /// matrix — the cheap half of [`RegressionTask::try_build`] (the
-    /// matrix costs `O(q·(od + z·blocks))`, the target only
-    /// `O(od + z·blocks)`). The per-item answer memo ([`RegressionWarm`])
-    /// keys on this vector before any matrix is built; it is bit-identical
-    /// to the `target` field `try_build` produces.
+    /// Stack the pre-weighted target vector Υ — the opinion target τᵢ,
+    /// then each aspect target scaled by its weight — without building the
+    /// design matrix, the cheap half of a task (the matrix costs
+    /// `O(q·(od + z·blocks))`, the target only `O(od + z·blocks)`). The
+    /// per-item answer memo ([`RegressionWarm`]) keys on this vector
+    /// before any matrix is built.
     ///
     /// # Errors
-    /// [`CoreError::DimensionMismatch`] exactly as
-    /// [`RegressionTask::try_build`] reports it for the target blocks.
+    /// [`CoreError::DimensionMismatch`] when the opinion target does not
+    /// have the space's opinion dimension or an aspect target does not
+    /// have the aspect dimension.
     pub fn try_stack_target(
         space: &VectorSpace,
         opinion_target: &[f64],
@@ -292,9 +259,9 @@ fn column_entries(
 }
 
 /// Map a CSC construction failure onto the core error taxonomy.
-fn classify_build_error(e: SolveError) -> CoreError {
+fn classify_build_error(e: LinalgError) -> CoreError {
     match e {
-        SolveError::DimensionMismatch {
+        LinalgError::DimensionMismatch {
             expected, actual, ..
         } => CoreError::DimensionMismatch {
             context: "RegressionTask design matrix rows",
@@ -412,7 +379,7 @@ where
 /// still feasible and non-empty, just less refined.
 ///
 /// # Errors
-/// The [`SolveError`] the NOMP relaxation reported (non-finite targets or
+/// The [`LinalgError`] the NOMP relaxation reported (non-finite targets or
 /// design entries). The unchecked solvers answer such an item with
 /// the best single review instead.
 pub fn integer_regression<F>(
@@ -421,7 +388,7 @@ pub fn integer_regression<F>(
     mut evaluate: F,
     workspace: &mut NompWorkspace,
     ctl: SolveCtl<'_>,
-) -> Result<Selection, SolveError>
+) -> Result<Selection, LinalgError>
 where
     F: FnMut(&Selection) -> f64,
 {
@@ -613,6 +580,18 @@ mod tests {
         )
     }
 
+    /// The task for `blocks`, with its target stacked first.
+    fn build_task<'a>(
+        space: &VectorSpace,
+        item: &Item,
+        dedup: &'a DedupColumns,
+        tau: &[f64],
+        blocks: &[(&[f64], f64)],
+    ) -> RegressionTask<'a> {
+        let target = RegressionTask::try_stack_target(space, tau, blocks).unwrap();
+        RegressionTask::new(space, item, dedup, target, blocks).unwrap()
+    }
+
     fn regress(
         task: &RegressionTask<'_>,
         m: usize,
@@ -677,7 +656,7 @@ mod tests {
         let tau = vec![0.5, 0.0, 0.0, 0.5];
         let gamma = vec![1.0, 1.0];
         let phi_other = vec![1.0, 0.0];
-        let task = RegressionTask::build(
+        let task = build_task(
             &space,
             &item,
             &dedup,
@@ -706,7 +685,7 @@ mod tests {
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
+        let task = build_task(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
         let sel = regress(&task, 3, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
@@ -732,7 +711,7 @@ mod tests {
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
+        let task = build_task(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
         let sel = regress(&task, 4, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
@@ -759,7 +738,7 @@ mod tests {
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
         for m in 1..=5 {
-            let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
+            let task = build_task(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
             let sel = regress(&task, m, |s| {
                 let pi = space.pi(&item, &s.indices);
                 sq_distance(&tau, &pi)
@@ -776,7 +755,7 @@ mod tests {
         let dedup = DedupColumns::build(&item);
         let tau = vec![1.0, 0.0];
         let gamma = vec![1.0];
-        let task = RegressionTask::build(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
+        let task = build_task(&space, &item, &dedup, &tau, &[(&gamma, 1.0)]);
         let sel = regress(&task, 3, |s| {
             sq_distance(&tau, &space.pi(&item, &s.indices))
         });
@@ -784,19 +763,25 @@ mod tests {
     }
 
     #[test]
-    fn try_build_classifies_dimension_mismatches() {
+    fn constructors_classify_dimension_mismatches() {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(2, OpinionScheme::Binary);
         let dedup = DedupColumns::build(&item);
         let short_tau = vec![1.0]; // opinion_dim is 4 for Binary over 2 aspects
-        let r = RegressionTask::try_build(&space, &item, &dedup, &short_tau, &[]);
+        let r = RegressionTask::try_stack_target(&space, &short_tau, &[]);
         assert!(matches!(
             r,
             Err(crate::error::CoreError::DimensionMismatch { .. })
         ));
         let tau = vec![0.0; space.opinion_dim()];
         let short_gamma = vec![1.0];
-        let r = RegressionTask::try_build(&space, &item, &dedup, &tau, &[(&short_gamma, 1.0)]);
+        let r = RegressionTask::try_stack_target(&space, &tau, &[(&short_gamma, 1.0)]);
+        assert!(matches!(
+            r,
+            Err(crate::error::CoreError::DimensionMismatch { .. })
+        ));
+        // A target too short for the design's rows.
+        let r = RegressionTask::new(&space, &item, &dedup, Vec::new(), &[]);
         assert!(matches!(
             r,
             Err(crate::error::CoreError::DimensionMismatch { .. })
@@ -809,7 +794,7 @@ mod tests {
         let space = VectorSpace::new(1, OpinionScheme::Binary);
         let dedup = DedupColumns::build(&item);
         let tau = vec![1.0, 0.0];
-        let mut task = RegressionTask::build(&space, &item, &dedup, &tau, &[]);
+        let mut task = build_task(&space, &item, &dedup, &tau, &[]);
         task.target[0] = f64::NAN;
         let r = integer_regression(
             &task,
@@ -818,7 +803,7 @@ mod tests {
             &mut NompWorkspace::new(),
             SolveCtl::default(),
         );
-        assert!(matches!(r, Err(SolveError::NonFinite { .. })));
+        assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
         // The unchecked solvers degrade to the single-review fallback
         // instead of failing.
         let sel = best_single_review(task.dedup, 2, |_| 0.0);

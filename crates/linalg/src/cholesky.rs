@@ -4,7 +4,9 @@
 //! that Integer-Regression produces (≤ m ≤ 10 columns) solving the normal
 //! equations `AᵀA x = Aᵀb` with a Cholesky factorisation is both fast and
 //! adequately stable, since the design matrices are 0/λ/μ-valued and far
-//! from pathological conditioning.
+//! from pathological conditioning. [`solve_gram_system`] is the refit's
+//! solve: Cholesky first, then the QR and ridge rungs of its fallback
+//! ladder.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -105,11 +107,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// Access the lower-triangular factor.
-    pub fn factor_l(&self) -> &Matrix {
-        &self.l
-    }
 }
 
 /// Solve the least-squares problem `min ‖A x − b‖₂` via the normal
@@ -132,7 +129,7 @@ pub fn solve_normal_equations(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgE
     }
     let g = a.gram();
     let atb = a.tr_matvec(b)?;
-    solve_gram_system(&g, &atb)
+    solve_gram_system(&g, &atb, None)
 }
 
 /// Solve `G x = rhs` for a Gram matrix `G = AᵀA` already in hand, with a
@@ -155,22 +152,14 @@ pub fn solve_normal_equations(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgE
 ///    when QR finds the system exactly singular; it keeps rank-deficient
 ///    refits well-posed without visibly perturbing the rounded solution.
 ///
-/// # Errors
-/// Propagates shape and [`LinalgError::NonFinite`] errors; never fails on
-/// rank deficiency.
-pub fn solve_gram_system(g: &Matrix, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    solve_gram_system_with(g, rhs, None)
-}
-
-/// [`solve_gram_system`] with an optional metrics collector: each rung of
-/// the degradation ladder that engages increments the matching fallback
-/// counter (`fallback_qr`, `fallback_ridge`). With `None` this is exactly
-/// the unmetered path — no atomic is touched.
+/// With a `metrics` collector each rung that engages increments its
+/// fallback counter (`fallback_qr`, `fallback_ridge`); with `None` no
+/// atomic is touched.
 ///
 /// # Errors
 /// Propagates shape and [`LinalgError::NonFinite`] errors; never fails on
 /// rank deficiency.
-pub fn solve_gram_system_with(
+pub fn solve_gram_system(
     g: &Matrix,
     rhs: &[f64],
     metrics: Option<&SolverMetrics>,
@@ -282,7 +271,7 @@ mod tests {
         let via_a = solve_normal_equations(&a, &b).unwrap();
         let g = a.gram();
         let atb = a.tr_matvec(&b).unwrap();
-        let via_g = solve_gram_system(&g, &atb).unwrap();
+        let via_g = solve_gram_system(&g, &atb, None).unwrap();
         assert_eq!(via_a, via_g);
     }
 
@@ -290,7 +279,7 @@ mod tests {
     fn gram_system_rank_deficient_uses_ridge() {
         // Singular Gram (duplicate columns): ridge must keep it solvable.
         let g = Matrix::from_rows(&[vec![2.0, 2.0], vec![2.0, 2.0]]).unwrap();
-        let x = solve_gram_system(&g, &[4.0, 4.0]).unwrap();
+        let x = solve_gram_system(&g, &[4.0, 4.0], None).unwrap();
         assert!((x[0] + x[1] - 2.0).abs() < 1e-4);
     }
 

@@ -1,12 +1,14 @@
 //! Error type shared by the linear-algebra routines.
 //!
 //! Every fallible entry point of this crate returns a classified
-//! [`SolveError`] instead of panicking, so callers on the solve path
+//! [`LinalgError`] instead of panicking, so callers on the solve path
 //! (Integer-Regression, the evaluation harness, the CLI) can isolate a
 //! degenerate item rather than abort the whole batch. The taxonomy covers
 //! the failure modes the fault-injection suite exercises: non-finite
 //! input, dimension mismatch, rank deficiency (`Singular`), loss of
-//! positive definiteness, and iteration-cap exhaustion.
+//! positive definiteness, and structurally invalid arguments. Iteration-cap
+//! exhaustion is not an error: the NNLS solvers report it in their
+//! diagnostics and return their best feasible iterate.
 
 use std::fmt;
 
@@ -40,20 +42,9 @@ pub enum LinalgError {
         /// Index of the pivot where positive definiteness failed.
         pivot: usize,
     },
-    /// An iterative routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
     /// An argument was structurally invalid (empty matrix, zero budget, ...).
     InvalidArgument(&'static str),
 }
-
-/// The name the fault-tolerance layer uses for the solver error taxonomy.
-///
-/// Alias of [`LinalgError`]; both names refer to the same type, so existing
-/// code keeps compiling while new code can use the solve-path vocabulary.
-pub type SolveError = LinalgError;
 
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -74,9 +65,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite at pivot {pivot}")
-            }
-            LinalgError::NoConvergence { iterations } => {
-                write!(f, "no convergence after {iterations} iterations")
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
@@ -104,9 +92,6 @@ mod tests {
         assert!(LinalgError::NotPositiveDefinite { pivot: 1 }
             .to_string()
             .contains("positive definite"));
-        assert!(LinalgError::NoConvergence { iterations: 10 }
-            .to_string()
-            .contains("10"));
         assert!(LinalgError::InvalidArgument("empty")
             .to_string()
             .contains("empty"));
@@ -115,12 +100,6 @@ mod tests {
         }
         .to_string()
         .contains("nnls rhs"));
-    }
-
-    #[test]
-    fn solve_error_is_the_same_type() {
-        let e: SolveError = LinalgError::NonFinite { context: "b" };
-        assert_eq!(e, LinalgError::NonFinite { context: "b" });
     }
 
     #[test]

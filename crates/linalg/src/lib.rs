@@ -1,19 +1,23 @@
-//! Dense linear-algebra substrate for the CompaReSetS reproduction.
+//! Linear-algebra substrate for the CompaReSetS reproduction.
 //!
 //! The Integer-Regression algorithm at the heart of CompaReSetS (Lappas et
 //! al.'s CRS generalised to multiple items) repeatedly solves small dense
 //! least-squares problems under a non-negativity constraint and a sparsity
 //! budget. This crate provides everything those solvers need, implemented
-//! from scratch so the reproduction has no opaque numerical dependencies:
+//! from scratch so the reproduction has no opaque numerical dependencies.
+//! Each job has one public function:
 //!
 //! * [`Matrix`] — a row-major dense matrix with the handful of operations
 //!   the selection algorithms use (mat-vec, transpose-vec, column access).
+//! * [`sparse`] — [`CscMatrix`], the compressed-sparse-column matrix every
+//!   solver builds, and the [`DesignMatrix`] trait NOMP is generic over.
 //! * [`qr`] — Householder QR factorisation and least-squares solve.
 //! * [`cholesky`] — Cholesky factorisation for normal-equation solves,
-//!   including [`cholesky::solve_gram_system`] for callers that maintain
-//!   the Gram matrix themselves.
+//!   including [`cholesky::solve_gram_system`], the refit's Gram solve,
+//!   with its QR and ridge fallbacks.
 //! * [`mod@nnls`] — Lawson–Hanson non-negative least squares, in design space
-//!   ([`nnls::nnls`]) and in normal-equation space ([`nnls::nnls_gram`]).
+//!   ([`nnls::nnls`], the reference pursuit's refit) and in normal-equation
+//!   space ([`nnls::nnls_gram`], the pursuit's refit).
 //! * [`mod@nomp`] — non-negative orthogonal matching pursuit, the continuous
 //!   relaxation solver referenced as `NOMP` in Algorithm 1 of the paper.
 //!   The engine caches the active-set Gram matrix incrementally and can
@@ -26,9 +30,8 @@
 //! externally owned scratch where it matters ([`NompWorkspace`]), and the
 //! matrix type exposes column views without copying.
 //!
-//! Every fallible entry point returns a classified [`SolveError`] (an alias
-//! of [`LinalgError`]) instead of panicking; see `error` for the taxonomy
-//! and ARCHITECTURE.md ("Error handling & degradation policy") for the
+//! Every fallible entry point returns a classified [`LinalgError`] instead
+//! of panicking; see `error` for the taxonomy and ARCHITECTURE.md ("Error handling & degradation policy") for the
 //! degradation ladder the solvers apply before reporting failure.
 
 #![warn(missing_docs)]
@@ -43,13 +46,9 @@ pub mod qr;
 pub mod sparse;
 pub mod vector;
 
-pub use cholesky::{solve_gram_system, solve_gram_system_with};
-pub use error::{LinalgError, SolveError};
+pub use cholesky::solve_gram_system;
+pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use nnls::{
-    nnls, nnls_capped, nnls_gram, nnls_gram_capped, nnls_gram_capped_ctl, nnls_gram_capped_with,
-    NnlsDiagnostics,
-};
+pub use nnls::{nnls, nnls_gram, NnlsDiagnostics};
 pub use nomp::{nomp_path, nomp_reference, NompResult, NompWorkspace};
-pub use qr::lstsq;
 pub use sparse::{CscMatrix, DesignMatrix};

@@ -86,24 +86,11 @@ impl Matrix {
         self.cols
     }
 
-    /// Borrow the underlying row-major storage.
-    #[inline]
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Copy column `j` into `out` (which must have `rows` elements).
@@ -224,13 +211,6 @@ impl Matrix {
     #[inline]
     pub fn is_finite(&self) -> bool {
         crate::vector::all_finite(&self.data)
-    }
-
-    /// Resident heap + inline bytes of this matrix (capacity, not length —
-    /// this is what the allocator actually holds). The dense counterpart
-    /// of [`crate::CscMatrix::memory_bytes`].
-    pub fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.data.capacity() * std::mem::size_of::<f64>()) as u64
     }
 }
 

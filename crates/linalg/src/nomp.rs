@@ -60,7 +60,7 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::nnls::{nnls_capped, nnls_gram_capped_ctl};
+use crate::nnls::{nnls, nnls_gram};
 use crate::sparse::DesignMatrix;
 use crate::vector;
 use comparesets_obs::{SolveCtl, SolverMetrics};
@@ -144,21 +144,6 @@ impl NompWorkspace {
             x: self.x.clone(),
             support: self.support.clone(),
             sq_residual,
-        }
-    }
-}
-
-/// Count one full correlation scan (`c = Aᵀr`) into `metrics`, classified
-/// by backend: sparse scans walk stored entries, dense scans run the
-/// chunked 4-lane kernels (whose full blocks land in `simd_blocks`).
-#[inline]
-fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&SolverMetrics>) {
-    if let Some(mm) = metrics {
-        if a.is_sparse() {
-            SolverMetrics::incr(&mm.sparse_corr_scans);
-        } else {
-            SolverMetrics::incr(&mm.dense_corr_scans);
-            SolverMetrics::add(&mm.simd_blocks, a.tr_scan_simd_blocks(residual));
         }
     }
 }
@@ -284,7 +269,9 @@ pub fn nomp_path<M: DesignMatrix>(
         }
 
         // Correlations of all columns with the residual.
-        count_corr_scan(a, &ws.residual, metrics);
+        if let Some(mm) = metrics {
+            SolverMetrics::incr(&mm.sparse_corr_scans);
+        }
         let corr = a.tr_matvec(&ws.residual)?;
         let mut best_j = None;
         let mut best_c = 0.0_f64;
@@ -313,13 +300,6 @@ pub fn nomp_path<M: DesignMatrix>(
         }
 
         // Enter j_star: extend the cached Gram and Aᵀb by one atom.
-        if let Some(mm) = metrics {
-            if a.is_sparse() {
-                // CSC `column_dot` is a merge-join over the two columns'
-                // stored entries — a sparse Gram build, not a dense dot.
-                SolverMetrics::incr(&mm.sparse_gram_builds);
-            }
-        }
         let entering_dots: Vec<f64> = ws
             .support
             .iter()
@@ -335,14 +315,14 @@ pub fn nomp_path<M: DesignMatrix>(
         ws.support.push(j_star);
         ws.in_support[j_star] = true;
 
-        // Refit on the active set entirely in Gram space. The capped NNLS
+        // Refit on the active set entirely in Gram space. The NNLS refit
         // never fails on iteration exhaustion: a slow-to-converge refit
         // degrades this step's fit (best feasible iterate) instead of
         // aborting the item — the improvement check below then decides
         // whether pursuit can continue.
         let g = Matrix::from_rows(&ws.gram_rows)?;
         let refit_start = metrics.map(|_| std::time::Instant::now());
-        let (x_sub, refit_diag) = nnls_gram_capped_ctl(&g, &ws.atb, ctl)?;
+        let (x_sub, refit_diag) = nnls_gram(&g, &ws.atb, ctl)?;
         if let Some(mm) = metrics {
             if let Some(t) = refit_start {
                 SolverMetrics::add_time(&mm.refit_nanos, t.elapsed());
@@ -487,7 +467,7 @@ pub fn nomp_reference<M: DesignMatrix>(
         in_support[j_star] = true;
 
         let sub = a.dense_columns(&support);
-        let (x_sub, _refit_diag) = nnls_capped(&sub, b)?;
+        let (x_sub, _refit_diag) = nnls(&sub, b)?;
 
         let mut kept: Vec<usize> = Vec::with_capacity(support.len());
         for (v, &j) in x_sub.iter().zip(support.iter()) {

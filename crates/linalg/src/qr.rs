@@ -1,8 +1,9 @@
 //! Householder QR factorisation and least squares.
 //!
 //! QR is the numerically robust path for least squares; NOMP uses the
-//! cheaper normal-equation solve on its tiny active sets, while QR backs
-//! the public [`lstsq`] entry point and acts as a cross-check in tests.
+//! cheaper normal-equation solve on its tiny active sets, and QR is the
+//! second rung of that solve's fallback ladder
+//! ([`crate::cholesky::solve_gram_system`]) and a cross-check in tests.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -155,25 +156,22 @@ impl Qr {
     }
 }
 
-/// One-shot least squares `min ‖A x − b‖₂` via Householder QR.
-///
-/// # Errors
-/// See [`Qr::factor`] and [`Qr::solve`].
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Qr::factor(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vector::sq_distance;
+
+    /// One-shot least squares through the factorisation.
+    fn qr_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        Qr::factor(a)?.solve(b)
+    }
 
     #[test]
     fn solves_square_system() {
         let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
         let x_true = [1.0, -2.0];
         let b = a.matvec(&x_true).unwrap();
-        let x = lstsq(&a, &b).unwrap();
+        let x = qr_solve(&a, &b).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-10);
         assert!((x[1] + 2.0).abs() < 1e-10);
     }
@@ -189,7 +187,7 @@ mod tests {
         .unwrap();
         let x_true = [0.5, 2.0];
         let b = a.matvec(&x_true).unwrap();
-        let x = lstsq(&a, &b).unwrap();
+        let x = qr_solve(&a, &b).unwrap();
         assert!(sq_distance(&x, &x_true) < 1e-18);
     }
 
@@ -198,7 +196,7 @@ mod tests {
         // Inconsistent system: residual must satisfy A^T r = 0.
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 2.0], vec![1.0, 3.0]]).unwrap();
         let b = vec![1.0, 0.0, 2.0];
-        let x = lstsq(&a, &b).unwrap();
+        let x = qr_solve(&a, &b).unwrap();
         let ax = a.matvec(&x).unwrap();
         let r: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, yi)| bi - yi).collect();
         let atr = a.tr_matvec(&r).unwrap();
@@ -220,7 +218,7 @@ mod tests {
     #[test]
     fn detects_singularity() {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
-        let r = lstsq(&a, &[1.0, 1.0, 1.0]);
+        let r = qr_solve(&a, &[1.0, 1.0, 1.0]);
         assert!(matches!(r, Err(LinalgError::Singular { .. })));
     }
 
@@ -253,7 +251,7 @@ mod tests {
         ])
         .unwrap();
         let b = vec![1.0, 2.0, 3.0, 4.0];
-        let x_qr = lstsq(&a, &b).unwrap();
+        let x_qr = qr_solve(&a, &b).unwrap();
         let x_ne = crate::cholesky::solve_normal_equations(&a, &b).unwrap();
         assert!(sq_distance(&x_qr, &x_ne) < 1e-16);
     }

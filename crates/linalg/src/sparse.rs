@@ -68,20 +68,6 @@ pub trait DesignMatrix {
         }
         acc
     }
-    /// Whether this backend stores only non-zero entries. Metered solvers
-    /// use this to classify correlation scans and Gram-column builds as
-    /// sparse vs dense in the solver metrics counters.
-    fn is_sparse(&self) -> bool {
-        false
-    }
-    /// Number of 4-lane SIMD blocks one `tr_matvec(x)` against this matrix
-    /// executes. Dense backends report their chunked-kernel block count;
-    /// sparse backends report 0 (they walk stored entries, not lanes).
-    /// Purely observability — never consulted on a numeric path.
-    fn tr_scan_simd_blocks(&self, x: &[f64]) -> u64 {
-        let _ = x;
-        0
-    }
 }
 
 impl DesignMatrix for Matrix {
@@ -122,12 +108,6 @@ impl DesignMatrix for Matrix {
             acc += self[(r, j)] * vr;
         }
         acc
-    }
-    fn tr_scan_simd_blocks(&self, x: &[f64]) -> u64 {
-        // `Matrix::tr_matvec` runs one chunked axpy over the columns for
-        // every non-zero entry of `x`.
-        let nz = x.iter().filter(|v| **v != 0.0).count() as u64;
-        nz * crate::vector::simd_block_count(Matrix::cols(self))
     }
 }
 
@@ -232,25 +212,6 @@ impl CscMatrix {
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Stored fraction: `nnz / (rows · cols)`; 0 for degenerate shapes.
-    pub fn density(&self) -> f64 {
-        let cells = self.rows * self.cols;
-        if cells == 0 {
-            0.0
-        } else {
-            self.values.len() as f64 / cells as f64
-        }
-    }
-
-    /// Resident heap + inline bytes of this matrix (capacities, not
-    /// lengths — this is what the allocator actually holds).
-    pub fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>()
-            + self.col_ptr.capacity() * std::mem::size_of::<usize>()
-            + self.row_idx.capacity() * std::mem::size_of::<usize>()
-            + self.values.capacity() * std::mem::size_of::<f64>()) as u64
     }
 
     /// Whether every stored value is finite (no NaN, no ±Inf). Solver
@@ -384,9 +345,6 @@ impl DesignMatrix for CscMatrix {
             acc += self.values[k] * v[self.row_idx[k]];
         }
         acc
-    }
-    fn is_sparse(&self) -> bool {
-        true
     }
 }
 
@@ -529,35 +487,5 @@ mod tests {
         assert_eq!(squashed.nnz(), 2);
         assert_eq!(squashed.get(0, 0), 1.0);
         assert_eq!(squashed.get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn density_and_memory_bytes() {
-        let s = CscMatrix::from_dense(&sample_dense(), 0.0);
-        assert!((s.density() - 5.0 / 9.0).abs() < 1e-15);
-        assert_eq!(CscMatrix::from_columns(3, vec![]).density(), 0.0);
-        // 5 stored values + 5 row indices + 4 col_ptr entries at least.
-        assert!(s.memory_bytes() >= (5 * 8 + 5 * 8 + 4 * 8) as u64);
-        // Denser storage costs more bytes.
-        let dense64 = Matrix::from_rows(&vec![vec![1.0; 64]; 64]).unwrap();
-        let bigger = CscMatrix::from_dense(&dense64, 0.0);
-        assert!(bigger.memory_bytes() > s.memory_bytes());
-    }
-
-    #[test]
-    fn sparsity_flags() {
-        let d = sample_dense();
-        let s = CscMatrix::from_dense(&d, 0.0);
-        assert!(DesignMatrix::is_sparse(&s));
-        assert!(!DesignMatrix::is_sparse(&d));
-        // Dense tr_matvec over x with 2 non-zeros and 3 columns: 3/4 = 0
-        // full blocks per pass.
-        assert_eq!(DesignMatrix::tr_scan_simd_blocks(&d, &[1.0, 0.0, 2.0]), 0);
-        assert_eq!(DesignMatrix::tr_scan_simd_blocks(&s, &[1.0, 0.0, 2.0]), 0);
-        let wide = Matrix::from_rows(&vec![vec![1.0; 10]; 3]).unwrap();
-        assert_eq!(
-            DesignMatrix::tr_scan_simd_blocks(&wide, &[1.0, 0.0, 2.0]),
-            2 * 2
-        );
     }
 }

@@ -13,14 +13,7 @@
 /// happens in the original left-to-right order. Summation order is the
 /// bitwise contract of the whole solver stack (selections must stay
 /// byte-identical), so the blocking must never introduce partial sums.
-pub const SIMD_LANES: usize = 4;
-
-/// Number of full [`SIMD_LANES`]-wide blocks a chunked kernel pass over
-/// `len` elements executes (the scalar tail is not counted).
-#[inline]
-pub fn simd_block_count(len: usize) -> u64 {
-    (len / SIMD_LANES) as u64
-}
+const SIMD_LANES: usize = 4;
 
 /// Dot product of two equal-length slices.
 ///
@@ -77,20 +70,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// L1 distance ‖x − y‖₁, used by the integer-rounding step of
-/// Integer-Regression (Algorithm 1, line 8).
-#[inline]
-pub fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len(), "l1_distance: length mismatch");
-    x.iter().zip(y.iter()).map(|(a, b)| (a - b).abs()).sum()
-}
-
 /// Cosine similarity (Equation 9). Returns 0 when either vector is zero,
 /// matching the convention used for empty review selections.
 #[inline]
@@ -127,24 +106,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Scale a vector in place: `x *= alpha`.
-#[inline]
-pub fn scale(x: &mut [f64], alpha: f64) {
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
-}
-
-/// Normalise a vector to unit L1 mass, returning the original mass.
-/// Vectors with zero mass are left untouched.
-pub fn normalize_l1(x: &mut [f64]) -> f64 {
-    let mass = norm1(x);
-    if mass > 0.0 {
-        scale(x, 1.0 / mass);
-    }
-    mass
-}
-
 /// Whether every entry of the slice is finite (no NaN, no ±Inf).
 ///
 /// Solver entry points use this to reject non-finite input up front with a
@@ -153,30 +114,6 @@ pub fn normalize_l1(x: &mut [f64]) -> f64 {
 #[inline]
 pub fn all_finite(x: &[f64]) -> bool {
     x.iter().all(|v| v.is_finite())
-}
-
-/// Maximum element of the slice; 0.0 for an empty slice.
-#[inline]
-pub fn max_element(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    x.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Index of the maximum element, breaking ties toward the lowest index.
-/// Returns `None` for an empty slice.
-pub fn argmax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, v) in x.iter().enumerate().skip(1) {
-        if *v > x[best] {
-            best = i;
-        }
-    }
-    Some(best)
 }
 
 #[cfg(test)]
@@ -199,8 +136,6 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm1(&[-3.0, 4.0]), 7.0);
-        assert_eq!(l1_distance(&[1.0, -1.0], &[0.0, 1.0]), 3.0);
     }
 
     #[test]
@@ -229,30 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy_basic() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 3.0], &mut y);
         assert_eq!(y, vec![3.0, 7.0]);
-        scale(&mut y, 0.5);
-        assert_eq!(y, vec![1.5, 3.5]);
-    }
-
-    #[test]
-    fn normalize_l1_returns_mass() {
-        let mut x = vec![1.0, 3.0];
-        let mass = normalize_l1(&mut x);
-        assert_eq!(mass, 4.0);
-        assert_eq!(x, vec![0.25, 0.75]);
-
-        let mut z = vec![0.0, 0.0];
-        assert_eq!(normalize_l1(&mut z), 0.0);
-        assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn argmax_prefers_first_on_tie() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
-        assert_eq!(argmax(&[]), None);
     }
 
     #[test]
@@ -262,12 +177,6 @@ mod tests {
         assert!(!all_finite(&[0.0, f64::NAN]));
         assert!(!all_finite(&[f64::INFINITY]));
         assert!(!all_finite(&[f64::NEG_INFINITY, 1.0]));
-    }
-
-    #[test]
-    fn max_element_empty_is_zero() {
-        assert_eq!(max_element(&[]), 0.0);
-        assert_eq!(max_element(&[-1.0, -5.0]), -1.0);
     }
 
     /// The blocked kernels must match the naive sequential loops bitwise
@@ -303,14 +212,5 @@ mod tests {
                 assert_eq!(y[i].to_bits(), naive[i].to_bits(), "len {n} idx {i}");
             }
         }
-    }
-
-    #[test]
-    fn simd_block_count_floors() {
-        assert_eq!(simd_block_count(0), 0);
-        assert_eq!(simd_block_count(3), 0);
-        assert_eq!(simd_block_count(4), 1);
-        assert_eq!(simd_block_count(11), 2);
-        assert_eq!(simd_block_count(80), 20);
     }
 }

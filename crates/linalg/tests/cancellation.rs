@@ -8,9 +8,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use comparesets_linalg::{
-    nnls_gram_capped, nnls_gram_capped_ctl, nomp_path, Matrix, NompWorkspace,
-};
+use comparesets_linalg::{nnls_gram, nomp_path, Matrix, NompWorkspace};
 use comparesets_obs::{CancelToken, SolveCtl, SolverMetrics};
 
 fn instance() -> (Matrix, Vec<f64>) {
@@ -138,16 +136,15 @@ fn nnls_ctl_cancelled_at_entry_returns_feasible_zero() {
 
     let token = CancelToken::new();
     token.cancel();
-    let (x, diag) = nnls_gram_capped_ctl(&g, &atb, SolveCtl::new(None, Some(&token))).unwrap();
+    let (x, diag) = nnls_gram(&g, &atb, SolveCtl::new(None, Some(&token))).unwrap();
     assert!(!diag.converged);
     assert_eq!(diag.iterations, 0);
     assert!(x.iter().all(|&v| v == 0.0));
 
     // Never-firing token: identical to the tokenless solve.
     let idle = CancelToken::new();
-    let (x_tok, diag_tok) =
-        nnls_gram_capped_ctl(&g, &atb, SolveCtl::new(None, Some(&idle))).unwrap();
-    let (x_plain, diag_plain) = nnls_gram_capped(&g, &atb).unwrap();
+    let (x_tok, diag_tok) = nnls_gram(&g, &atb, SolveCtl::new(None, Some(&idle))).unwrap();
+    let (x_plain, diag_plain) = nnls_gram(&g, &atb, SolveCtl::default()).unwrap();
     assert_eq!(x_tok, x_plain);
     assert_eq!(diag_tok, diag_plain);
 }

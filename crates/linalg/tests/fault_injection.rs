@@ -5,20 +5,19 @@
 //! every public entry point of the crate and asserts two things:
 //!
 //! 1. **No panics.** Every failure mode surfaces as a classified
-//!    [`SolveError`], never an abort.
+//!    [`LinalgError`], never an abort.
 //! 2. **Correct classification.** Non-finite data reports `NonFinite`,
 //!    bad shapes report `DimensionMismatch`, and degenerate-but-finite
 //!    systems succeed through the degradation ladder
-//!    (Cholesky → QR → ridge; capped NNLS).
+//!    (Cholesky → QR → ridge; NNLS capped at its iteration budget).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
     cholesky::{solve_normal_equations, Cholesky},
-    lstsq, nnls, nnls_capped, nnls_gram, nnls_gram_capped, nomp_reference,
+    nnls, nnls_gram, nomp_reference,
     qr::Qr,
     solve_gram_system, CscMatrix, DesignMatrix, LinalgError, Matrix, NompResult, NompWorkspace,
-    SolveError,
 };
 use comparesets_obs::SolveCtl;
 
@@ -41,6 +40,11 @@ fn nomp_path<M: DesignMatrix>(
 fn nomp<M: DesignMatrix>(a: &M, b: &[f64], max_atoms: usize) -> Result<NompResult, LinalgError> {
     let mut path = nomp_path(a, b, max_atoms)?;
     Ok(path.pop().expect("a path has max_atoms > 0 entries"))
+}
+
+/// One-shot least squares through Householder QR.
+fn qr_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    Qr::factor(a)?.solve(b)
 }
 
 /// Plant `value` at (row, col) of an otherwise well-behaved matrix.
@@ -66,42 +70,40 @@ fn every_entry_point_classifies_non_finite_matrices() {
         let b = vec![1.0; 4];
         let max_atoms = 2;
 
-        assert!(matches!(nnls(&a, &b), Err(SolveError::NonFinite { .. })));
-        assert!(matches!(
-            nnls_capped(&a, &b),
-            Err(SolveError::NonFinite { .. })
-        ));
+        assert!(matches!(nnls(&a, &b), Err(LinalgError::NonFinite { .. })));
         assert!(matches!(
             nomp(&a, &b, max_atoms),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
             nomp_path(&a, &b, max_atoms),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
             nomp_reference(&a, &b, max_atoms),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
-        assert!(matches!(lstsq(&a, &b), Err(SolveError::NonFinite { .. })));
+        assert!(matches!(
+            qr_solve(&a, &b),
+            Err(LinalgError::NonFinite { .. })
+        ));
 
         let sq = contaminated(3, 3, 0, 0, bad);
         assert!(matches!(
             Cholesky::factor(&sq),
-            Err(SolveError::NonFinite { .. })
-        ));
-        assert!(matches!(Qr::factor(&sq), Err(SolveError::NonFinite { .. })));
-        assert!(matches!(
-            solve_gram_system(&sq, &[1.0; 3]),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
-            nnls_gram(&sq, &[1.0; 3]),
-            Err(SolveError::NonFinite { .. })
+            Qr::factor(&sq),
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
-            nnls_gram_capped(&sq, &[1.0; 3]),
-            Err(SolveError::NonFinite { .. })
+            solve_gram_system(&sq, &[1.0; 3], None),
+            Err(LinalgError::NonFinite { .. })
+        ));
+        assert!(matches!(
+            nnls_gram(&sq, &[1.0; 3], SolveCtl::default()),
+            Err(LinalgError::NonFinite { .. })
         ));
     }
 }
@@ -114,31 +116,34 @@ fn every_entry_point_classifies_non_finite_rhs() {
         b[3] = bad;
         let max_atoms = 2;
 
-        assert!(matches!(nnls(&a, &b), Err(SolveError::NonFinite { .. })));
+        assert!(matches!(nnls(&a, &b), Err(LinalgError::NonFinite { .. })));
         assert!(matches!(
             nomp(&a, &b, max_atoms),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
             nomp_reference(&a, &b, max_atoms),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
-        assert!(matches!(lstsq(&a, &b), Err(SolveError::NonFinite { .. })));
+        assert!(matches!(
+            qr_solve(&a, &b),
+            Err(LinalgError::NonFinite { .. })
+        ));
 
         let g = Matrix::identity(3);
         let mut rhs = vec![1.0; 3];
         rhs[0] = bad;
         assert!(matches!(
-            nnls_gram(&g, &rhs),
-            Err(SolveError::NonFinite { .. })
+            nnls_gram(&g, &rhs, SolveCtl::default()),
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
             Cholesky::factor(&g).unwrap().solve(&rhs),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
         assert!(matches!(
             Qr::factor(&g).unwrap().solve(&rhs),
-            Err(SolveError::NonFinite { .. })
+            Err(LinalgError::NonFinite { .. })
         ));
     }
 }
@@ -149,7 +154,7 @@ fn sparse_design_matrices_are_scanned_too() {
         let s = CscMatrix::from_columns(3, vec![vec![(0, 1.0)], vec![(1, bad)], vec![(2, 2.0)]]);
         assert!(!s.is_finite());
         let r = nomp(&s, &[1.0, 1.0, 1.0], 2);
-        assert!(matches!(r, Err(SolveError::NonFinite { .. })));
+        assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
     }
 }
 
@@ -160,7 +165,7 @@ fn all_zero_design_succeeds_with_empty_selection() {
     let r = nomp(&a, &b, 3).unwrap();
     assert!(r.support.is_empty());
     assert!(r.x.iter().all(|&v| v == 0.0));
-    let x = nnls(&a, &b).unwrap();
+    let (x, _) = nnls(&a, &b).unwrap();
     assert!(x.iter().all(|&v| v == 0.0));
 }
 
@@ -179,7 +184,7 @@ fn rank_deficient_designs_survive_the_degradation_ladder() {
     let x = solve_normal_equations(&a, &b).unwrap();
     assert!(x.iter().all(|v| v.is_finite()));
 
-    let (x, diag) = nnls_capped(&a, &b).unwrap();
+    let (x, diag) = nnls(&a, &b).unwrap();
     assert!(x.iter().all(|&v| v >= 0.0));
     assert!(diag.iterations >= 1);
 
@@ -197,9 +202,9 @@ fn exactly_singular_gram_engages_qr_then_ridge() {
     let g = Matrix::from_rows(&[vec![2.0, 2.0], vec![2.0, 2.0]]).unwrap();
     assert!(matches!(
         Cholesky::factor(&g),
-        Err(SolveError::NotPositiveDefinite { .. })
+        Err(LinalgError::NotPositiveDefinite { .. })
     ));
-    let x = solve_gram_system(&g, &[4.0, 4.0]).unwrap();
+    let x = solve_gram_system(&g, &[4.0, 4.0], None).unwrap();
     assert!((x[0] + x[1] - 2.0).abs() < 1e-4);
 }
 
@@ -209,7 +214,7 @@ fn near_singular_gram_takes_qr_without_ridge_perturbation() {
     // still solves it exactly, so no ridge bias enters the solution.
     let d = 1e-13;
     let g = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0 + d]]).unwrap();
-    let x = solve_gram_system(&g, &[2.0, 2.0]).unwrap();
+    let x = solve_gram_system(&g, &[2.0, 2.0], None).unwrap();
     assert!(x.iter().all(|v| v.is_finite()));
     // Residual check: G x ≈ rhs.
     let gx = g.matvec(&x).unwrap();
@@ -236,19 +241,19 @@ fn shape_faults_classify_as_dimension_mismatch() {
     let a = Matrix::identity(3);
     assert!(matches!(
         nnls(&a, &[1.0]),
-        Err(SolveError::DimensionMismatch { .. })
+        Err(LinalgError::DimensionMismatch { .. })
     ));
     assert!(matches!(
         nomp(&a, &[1.0], 1),
-        Err(SolveError::DimensionMismatch { .. })
+        Err(LinalgError::DimensionMismatch { .. })
     ));
     assert!(matches!(
-        nnls_gram(&Matrix::zeros(2, 3), &[1.0, 1.0]),
-        Err(SolveError::DimensionMismatch { .. })
+        nnls_gram(&Matrix::zeros(2, 3), &[1.0, 1.0], SolveCtl::default()),
+        Err(LinalgError::DimensionMismatch { .. })
     ));
     assert!(matches!(
         CscMatrix::try_from_columns(2, vec![vec![(7, 1.0)]]),
-        Err(SolveError::DimensionMismatch { .. })
+        Err(LinalgError::DimensionMismatch { .. })
     ));
 }
 
@@ -266,14 +271,12 @@ fn fallback_paths_match_happy_path_on_well_posed_inputs() {
     .unwrap();
     let b = vec![1.0, 2.0, 3.0, 4.0];
     let via_chol = solve_normal_equations(&a, &b).unwrap();
-    let via_qr = lstsq(&a, &b).unwrap();
+    let via_qr = qr_solve(&a, &b).unwrap();
     for (c, q) in via_chol.iter().zip(via_qr.iter()) {
         assert!((c - q).abs() < 1e-9);
     }
-    // And capped NNLS reports convergence with the same minimiser as the
-    // strict variant.
-    let strict = nnls(&a, &b).unwrap();
-    let (capped, diag) = nnls_capped(&a, &b).unwrap();
+    // And NNLS reports convergence on it.
+    let (x, diag) = nnls(&a, &b).unwrap();
     assert!(diag.converged);
-    assert_eq!(strict, capped);
+    assert!(x.iter().all(|&v| v >= 0.0));
 }

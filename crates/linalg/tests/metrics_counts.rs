@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    nomp_path, solve_gram_system_with, CscMatrix, DesignMatrix, Matrix, NompResult, NompWorkspace,
+    nomp_path, solve_gram_system, CscMatrix, DesignMatrix, Matrix, NompResult, NompWorkspace,
 };
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
@@ -90,9 +90,7 @@ fn counters_accumulate_across_pursuits() {
 }
 
 /// 8×8 identity design with strictly increasing positive targets: the
-/// pursuit accepts atoms in descending target order, each refit zeroes
-/// exactly one residual component, so every scan's residual support size
-/// is known in advance.
+/// pursuit accepts atoms in descending target order, one per scan.
 fn identity8() -> (Matrix, Vec<f64>) {
     let mut a = Matrix::zeros(8, 8);
     for i in 0..8 {
@@ -102,39 +100,17 @@ fn identity8() -> (Matrix, Vec<f64>) {
 }
 
 #[test]
-fn dense_scan_counters_match_known_trajectory() {
-    let (a, b) = identity8();
-    let metrics = SolverMetrics::new();
-    let mut ws = NompWorkspace::new();
-    metered_path(&a, &b, &mut ws, &metrics);
-    let snap = metrics.snapshot();
-    // Two accepted atoms = two full Aᵀr scans, both on the dense backend.
-    assert_eq!(snap.dense_corr_scans, 2);
-    assert_eq!(snap.sparse_corr_scans, 0);
-    assert_eq!(snap.sparse_gram_builds, 0);
-    // Scan 1 sees all 8 residual components live, scan 2 sees 7 (the
-    // first refit is exact on the identity design); each live component
-    // drives one chunked axpy over 8 columns = 2 full 4-lane blocks.
-    // The NNLS dual refreshes run on active sets of size ≤ 2 — below one
-    // block — so the corr scans are the whole count: (8 + 7) · 2 = 30.
-    assert_eq!(snap.simd_blocks, 30);
-}
-
-#[test]
-fn sparse_scan_counters_match_known_trajectory() {
+fn scan_counters_match_known_trajectory() {
+    // Two accepted atoms = two full Aᵀr scans, whichever backend holds
+    // the design matrix.
     let (a, b) = identity8();
     let csc = CscMatrix::from_dense(&a, 0.0);
-    let metrics = SolverMetrics::new();
-    let mut ws = NompWorkspace::new();
-    metered_path(&csc, &b, &mut ws, &metrics);
-    let snap = metrics.snapshot();
-    // Same trajectory, classified sparse: no dense scans, no lane blocks
-    // (the CSC scan walks stored entries), and one sparse Gram extension
-    // per entering atom.
-    assert_eq!(snap.sparse_corr_scans, 2);
-    assert_eq!(snap.dense_corr_scans, 0);
-    assert_eq!(snap.sparse_gram_builds, 2);
-    assert_eq!(snap.simd_blocks, 0);
+    let dense_metrics = SolverMetrics::new();
+    metered_path(&a, &b, &mut NompWorkspace::new(), &dense_metrics);
+    let sparse_metrics = SolverMetrics::new();
+    metered_path(&csc, &b, &mut NompWorkspace::new(), &sparse_metrics);
+    assert_eq!(dense_metrics.snapshot().sparse_corr_scans, 2);
+    assert_eq!(sparse_metrics.snapshot().sparse_corr_scans, 2);
 }
 
 #[test]
@@ -143,7 +119,7 @@ fn fallback_ladder_rungs_are_counted() {
     // check, landing on the ridge rung: both fallback counters fire once.
     let g = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
     let metrics = SolverMetrics::new();
-    let x = solve_gram_system_with(&g, &[1.0, 1.0], Some(&metrics)).unwrap();
+    let x = solve_gram_system(&g, &[1.0, 1.0], Some(&metrics)).unwrap();
     assert_eq!(x.len(), 2);
     let snap = metrics.snapshot();
     assert_eq!(snap.fallback_qr, 1);
@@ -152,7 +128,7 @@ fn fallback_ladder_rungs_are_counted() {
     // A well-conditioned Gram never leaves the Cholesky rung.
     let g = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]]).unwrap();
     let metrics = SolverMetrics::new();
-    solve_gram_system_with(&g, &[1.0, 1.0], Some(&metrics)).unwrap();
+    solve_gram_system(&g, &[1.0, 1.0], Some(&metrics)).unwrap();
     let snap = metrics.snapshot();
     assert_eq!(snap.fallback_qr, 0);
     assert_eq!(snap.fallback_ridge, 0);

@@ -3,11 +3,16 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    lstsq, nnls, nnls_capped, nnls_gram, nomp_reference, CscMatrix, DesignMatrix, LinalgError,
-    Matrix, NompResult, NompWorkspace,
+    nnls, nnls_gram, nomp_reference, qr::Qr, CscMatrix, DesignMatrix, LinalgError, Matrix,
+    NompResult, NompWorkspace,
 };
 use comparesets_obs::SolveCtl;
 use proptest::prelude::*;
+
+/// One-shot least squares through Householder QR.
+fn qr_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    Qr::factor(a)?.solve(b)
+}
 
 /// A fresh, unmetered budget path.
 fn nomp_path<M: DesignMatrix>(
@@ -141,7 +146,7 @@ proptest! {
 
     #[test]
     fn nnls_solution_is_nonnegative_and_feasible((a, b) in matrix_and_rhs()) {
-        let x = nnls(&a, &b).unwrap();
+        let (x, _) = nnls(&a, &b).unwrap();
         prop_assert_eq!(x.len(), a.cols());
         prop_assert!(x.iter().all(|&v| v >= 0.0));
         // NNLS residual can never beat the unconstrained optimum but must
@@ -169,9 +174,9 @@ proptest! {
     }
 
     #[test]
-    fn lstsq_residual_orthogonality((a, b) in matrix_and_rhs()) {
-        // Skip (numerically) rank-deficient draws: lstsq signals Singular.
-        if let Ok(x) = lstsq(&a, &b) {
+    fn qr_residual_orthogonality((a, b) in matrix_and_rhs()) {
+        // Skip (numerically) rank-deficient draws: QR signals Singular.
+        if let Ok(x) = qr_solve(&a, &b) {
             let ax = a.matvec(&x).unwrap();
             let r: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, yi)| bi - yi).collect();
             let atr = a.tr_matvec(&r).unwrap();
@@ -310,12 +315,16 @@ proptest! {
         let max_atoms = budget;
         let results = [
             nnls(&a, &b).map(|_| ()),
-            nnls_gram(&a.gram(), &a.tr_matvec(&b).unwrap_or_else(|_| vec![0.0; a.cols()]))
-                .map(|_| ()),
+            nnls_gram(
+                &a.gram(),
+                &a.tr_matvec(&b).unwrap_or_else(|_| vec![0.0; a.cols()]),
+                SolveCtl::default(),
+            )
+            .map(|_| ()),
             nomp(&a, &b, max_atoms).map(|_| ()),
             nomp_path(&a, &b, max_atoms).map(|_| ()),
             nomp_reference(&a, &b, max_atoms).map(|_| ()),
-            lstsq(&a, &b).map(|_| ()),
+            qr_solve(&a, &b).map(|_| ()),
         ];
         if has_bad {
             // Gram products of non-finite data stay non-finite (NaN is
@@ -340,7 +349,7 @@ proptest! {
     ) {
         // Exactly-collinear columns drive the Cholesky → QR → ridge ladder;
         // the solvers must come back with a feasible answer, never a panic.
-        let (x, diag) = nnls_capped(&a, &b).unwrap();
+        let (x, diag) = nnls(&a, &b).unwrap();
         prop_assert!(x.iter().all(|&v| v >= 0.0));
         prop_assert!(diag.iterations >= 1);
         let r = nomp(&a, &b, budget).unwrap();

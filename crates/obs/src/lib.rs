@@ -144,15 +144,8 @@ counters! {
     connections_timed_out: "Connections closed for blowing a read, write or per-frame deadline \
         (slowloris peers, stalled sockets).",
     health_checks: "`health` ops answered by the serving daemon.",
-    sparse_corr_scans: "Full correlation scans (`c = Aᵀr`) over a sparse (CSC) design matrix, \
-        iterating stored entries only.",
-    dense_corr_scans: "Full correlation scans over a dense design matrix (the chunked-SIMD \
-        path).",
-    sparse_gram_builds: "Gram columns built from merge-joins of sparse columns instead of dense \
-        column dots.",
-    simd_blocks: "Full 4-lane SIMD blocks run by the dense chunked kernels on metered hot paths \
-        (correlation scans, blocked NNLS dual refreshes); scalar tails do not count, so a \
-        pure-sparse solve reads 0.",
+    sparse_corr_scans: "Full correlation scans (`c = Aᵀr`) run by NOMP pursuits on any backend \
+        (the solvers build CSC, whose scan walks stored entries only).",
 }
 
 impl SolverMetrics {
@@ -331,7 +324,7 @@ mod tests {
         );
         assert_eq!(
             String::from_utf8(lines.into_inner().unwrap()).unwrap(),
-            "INFO cli: select done\nDEBUG core: close solve m=3 busy=12.0us\n"
+            " INFO cli: select done\nDEBUG core: close solve m=3 busy=12.0us\n"
         );
     }
 
