@@ -18,6 +18,7 @@
 //! | [`linalg`] | `comparesets-linalg` | dense matrices, least squares, NNLS, NOMP |
 //! | [`stats`] | `comparesets-stats` | paired t-test, Krippendorff's α |
 //! | [`eval`] | `comparesets-eval` | harness regenerating every table and figure of the paper |
+//! | [`efm`] | `comparesets-efm` | EFM-lite learned aspect preference vectors |
 //!
 //! ## Quickstart
 //!
