@@ -281,12 +281,12 @@ fn load_corpus(path: &str, metrics: Option<&Arc<SolverMetrics>>) -> Result<Datas
     })
 }
 
-/// Build the comparison instance anchored at a target product.
+/// The comparison instance anchored at a target product.
 fn instance_for(
     dataset: &Dataset,
     target: u32,
     max_comparatives: usize,
-) -> Result<(ComparisonInstance, InstanceContext), CliError> {
+) -> Result<ComparisonInstance, CliError> {
     if target as usize >= dataset.products.len() {
         return Err(CliError::usage(format!(
             "target {target} out of range (corpus has {} products)",
@@ -311,11 +311,7 @@ fn instance_for(
     }
     let mut items = vec![pid];
     items.extend(comps);
-    let inst = ComparisonInstance { items }.truncated(max_comparatives);
-    Ok((
-        inst.clone(),
-        InstanceContext::build(dataset, &inst, OpinionScheme::Binary),
-    ))
+    Ok(ComparisonInstance { items }.truncated(max_comparatives))
 }
 
 fn cmd_generate(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
@@ -393,14 +389,17 @@ fn cmd_convert_amazon(
 }
 
 /// `--m`, `--lambda` and `--mu`, each defaulting to its
-/// [`SelectParams::default`] value.
+/// [`SelectParams::default`] value and checked by
+/// [`SelectParams::validate`], the rule every solve path applies.
 fn select_params(args: &Args) -> Result<SelectParams, String> {
     let default = SelectParams::default();
-    Ok(SelectParams {
+    let params = SelectParams {
         m: args.get_or("m", default.m)?,
         lambda: args.get_or("lambda", default.lambda)?,
         mu: args.get_or("mu", default.mu)?,
-    })
+    };
+    params.validate().map_err(|e| e.to_string())?;
+    Ok(params)
 }
 
 /// A `--*-ms` flag as a [`Duration`], defaulting to `default`.
@@ -491,7 +490,7 @@ fn cmd_select(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
     let strict: bool = args.get_or("strict", false)?;
     let dataset = load_corpus(args.require("corpus")?, metrics.as_ref())?;
 
-    let (inst, _) = instance_for(&dataset, target, max_comp)?;
+    let inst = instance_for(&dataset, target, max_comp)?;
     let ctx = InstanceContext::build(&dataset, &inst, scheme);
     // A timeout routes through the checked solvers even in lenient mode:
     // an expired deadline must surface as exit 6, never as a silently
@@ -568,7 +567,8 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
     };
     let dataset = load_corpus(args.require("corpus")?, metrics.as_ref())?;
 
-    let (_, ctx) = instance_for(&dataset, target, max_comp)?;
+    let inst = instance_for(&dataset, target, max_comp)?;
+    let ctx = InstanceContext::build(&dataset, &inst, OpinionScheme::Binary);
     // With a --timeout armed, the seeding solve goes through the checked
     // path so an expired deadline exits 6 instead of silently narrowing
     // from degraded selections.

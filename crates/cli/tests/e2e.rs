@@ -46,6 +46,38 @@ fn usage_error_exits_2_and_prints_usage() {
 }
 
 #[test]
+fn bad_model_parameters_exit_2_before_the_corpus_is_read() {
+    // The rule every solve path applies (`SelectParams::validate`), on
+    // every CLI path: checked before the filesystem, so a missing corpus
+    // cannot mask it.
+    for args in [
+        [
+            "select",
+            "--corpus",
+            "/nonexistent/c.json",
+            "--target",
+            "0",
+            "--m",
+            "0",
+        ],
+        [
+            "narrow",
+            "--corpus",
+            "/nonexistent/c.json",
+            "--target",
+            "0",
+            "--lambda",
+            "-1",
+        ],
+    ] {
+        let out = comparesets(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(" must be "), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn help_exits_0_with_exit_code_table() {
     let out = comparesets(&["help"]);
     assert_eq!(out.status.code(), Some(0));

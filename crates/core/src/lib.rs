@@ -100,6 +100,28 @@ impl Default for SelectParams {
     }
 }
 
+impl SelectParams {
+    /// Check the rule every solve path applies to the model parameters:
+    /// `m ≥ 1`, and λ and μ finite and non-negative. The checked solvers,
+    /// the serving daemon and the CLI all run it before any solve.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidParams`] naming the first parameter that breaks
+    /// the rule.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        if self.m == 0 {
+            return Err(CoreError::InvalidParams("m must be at least 1"));
+        }
+        if !(self.lambda.is_finite() && self.lambda >= 0.0) {
+            return Err(CoreError::InvalidParams("lambda must be finite and >= 0"));
+        }
+        if !(self.mu.is_finite() && self.mu >= 0.0) {
+            return Err(CoreError::InvalidParams("mu must be finite and >= 0"));
+        }
+        Ok(())
+    }
+}
+
 /// Execution knobs orthogonal to the model parameters: how to run a
 /// solver, never what it computes.
 ///
@@ -292,7 +314,7 @@ pub fn solve_checked(
     seed: u64,
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
-    error::validate_params(params)?;
+    params.validate()?;
     match algorithm {
         Algorithm::Random => Ok(solve_random(ctx, params.m, seed)
             .into_iter()

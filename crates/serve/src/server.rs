@@ -971,21 +971,7 @@ fn resolve_query(dataset: &Dataset, request: &Request) -> Result<SolveQuery, Box
         lambda: request.lambda.unwrap_or(1.0),
         mu: request.mu.unwrap_or(0.1),
     };
-    if params.m == 0 {
-        return Err(usage("m must be at least 1".to_string()));
-    }
-    if !(params.lambda.is_finite() && params.lambda >= 0.0) {
-        return Err(usage(format!(
-            "lambda must be finite and >= 0, got {}",
-            params.lambda
-        )));
-    }
-    if !(params.mu.is_finite() && params.mu >= 0.0) {
-        return Err(usage(format!(
-            "mu must be finite and >= 0, got {}",
-            params.mu
-        )));
-    }
+    params.validate().map_err(|e| usage(e.to_string()))?;
     let sweeps = request.sweeps.unwrap_or(1);
     if sweeps == 0 {
         return Err(usage("sweeps must be at least 1".to_string()));
