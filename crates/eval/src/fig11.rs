@@ -101,9 +101,16 @@ mod tests {
 
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Fig11 {
+        static RUN: std::sync::OnceLock<Fig11> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn loss_shrinks_and_cosine_grows_with_m() {
-        let f11 = run(&EvalConfig::tiny());
+        let f11 = tiny_run();
         let s = &f11.series;
         assert_eq!(s.loss_target.len(), M_VALUES.len());
         // Shape fidelity (Figure 11's "clear trend"): loss at the largest m
@@ -125,7 +132,7 @@ mod tests {
     fn all_items_lose_more_than_target() {
         // §4.6.1: comparative items' selections are skewed toward the
         // target item, so the all-items loss exceeds the target-only loss.
-        let f11 = run(&EvalConfig::tiny());
+        let f11 = tiny_run();
         let s = &f11.series;
         let mean_t: f64 = s.loss_target.iter().sum::<f64>() / s.loss_target.len() as f64;
         let mean_a: f64 = s.loss_all.iter().sum::<f64>() / s.loss_all.len() as f64;
@@ -134,7 +141,7 @@ mod tests {
 
     #[test]
     fn values_are_in_range() {
-        let f11 = run(&EvalConfig::tiny());
+        let f11 = tiny_run();
         for v in f11.series.cos_target.iter().chain(&f11.series.cos_all) {
             assert!((0.0..=1.0 + 1e-9).contains(v));
         }

@@ -143,9 +143,16 @@ fn best_of(series: &[SweepSeries]) -> f64 {
 mod tests {
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Fig5 {
+        static RUN: std::sync::OnceLock<Fig5> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn sweeps_cover_grid_for_every_dataset() {
-        let f5 = run(&EvalConfig::tiny());
+        let f5 = tiny_run();
         assert_eq!(f5.lambda_sweep.len(), 3);
         assert_eq!(f5.mu_sweep.len(), 3);
         for s in f5.lambda_sweep.iter().chain(&f5.mu_sweep) {
@@ -161,7 +168,7 @@ mod tests {
 
     #[test]
     fn best_values_come_from_grid() {
-        let f5 = run(&EvalConfig::tiny());
+        let f5 = tiny_run();
         assert!(GRID.contains(&f5.best_lambda()));
         assert!(GRID.contains(&f5.best_mu()));
     }

@@ -162,6 +162,13 @@ impl Fig6 {
 mod tests {
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Fig6 {
+        static RUN: std::sync::OnceLock<Fig6> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn buckets_are_exhaustive() {
         assert_eq!(bucket_of(1.0), 0);
@@ -175,7 +182,7 @@ mod tests {
 
     #[test]
     fn produces_gap_series() {
-        let f6 = run(&EvalConfig::tiny());
+        let f6 = tiny_run();
         assert_eq!(f6.target_vs_comp.plus_minus_random.len(), BUCKETS.len());
         let total: usize = f6.target_vs_comp.bucket_counts.iter().sum();
         assert!(total > 0);
@@ -188,7 +195,7 @@ mod tests {
     fn pooled_gap_favours_comparesets_plus() {
         // Across all instances (pooling buckets), CompaReSetS+ − Random
         // should be positive on the target measure.
-        let f6 = run(&EvalConfig::tiny());
+        let f6 = tiny_run();
         let s = &f6.target_vs_comp;
         let mut weighted = 0.0;
         let mut n = 0usize;

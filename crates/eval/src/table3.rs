@@ -222,13 +222,16 @@ impl Table3 {
 mod tests {
     use super::*;
 
-    fn tiny_table() -> Table3 {
-        run(&EvalConfig::tiny())
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Table3 {
+        static RUN: std::sync::OnceLock<Table3> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
     }
 
     #[test]
     fn produces_all_blocks() {
-        let t3 = tiny_table();
+        let t3 = tiny_run();
         assert_eq!(t3.blocks.len(), 3);
         for b in &t3.blocks {
             assert_eq!(b.ms.len(), 1); // tiny config has ms = [3]
@@ -244,7 +247,7 @@ mod tests {
     fn comparesets_plus_wins_target_alignment() {
         // Shape fidelity: CompaReSetS+ must beat Random on ROUGE-L in the
         // target-vs-comparatives measure on every dataset.
-        let t3 = tiny_table();
+        let t3 = tiny_run();
         for b in &t3.blocks {
             let mb = &b.ms[0];
             let plus = mb.algos[4].mean_target().rl; // CompaReSetS+
@@ -259,7 +262,7 @@ mod tests {
 
     #[test]
     fn renders_both_halves() {
-        let t3 = tiny_table();
+        let t3 = tiny_run();
         let text = t3.render();
         assert!(text.contains("(a) Target Item vs Comparative Items"));
         assert!(text.contains("(b) Among Items"));
@@ -269,7 +272,7 @@ mod tests {
 
     #[test]
     fn best_and_star_is_well_formed() {
-        let t3 = tiny_table();
+        let t3 = tiny_run();
         let mb = &t3.blocks[0].ms[0];
         let (best, _) = best_and_star(mb, Measure::TargetVsComparatives, 2);
         assert!(best < 5);

@@ -96,9 +96,16 @@ impl Table4 {
 mod tests {
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Table4 {
+        static RUN: std::sync::OnceLock<Table4> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn covers_all_schemes_and_algorithms() {
-        let t4 = run(&EvalConfig::tiny());
+        let t4 = tiny_run();
         assert_eq!(t4.schemes.len(), 3);
         assert_eq!(t4.rouge_l.len(), 3);
         for row in &t4.rouge_l {
@@ -117,7 +124,7 @@ mod tests {
     fn binary_comparesets_beats_random() {
         // Shape: under the default binary scheme the proposed methods beat
         // Random (Table 4's first column).
-        let t4 = run(&EvalConfig::tiny());
+        let t4 = tiny_run();
         let binary = &t4.rouge_l[0];
         let random = binary[0];
         let plus = binary[4];

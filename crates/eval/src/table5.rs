@@ -141,9 +141,16 @@ impl Table5 {
 mod tests {
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Table5 {
+        static RUN: std::sync::OnceLock<Table5> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn ratios_have_the_papers_shape() {
-        let t5 = run(&EvalConfig::tiny());
+        let t5 = tiny_run();
         assert!(!t5.rows.is_empty());
         for r in &t5.rows {
             // At tiny scale the exact solver always finishes.
@@ -162,7 +169,7 @@ mod tests {
 
     #[test]
     fn greedy_gap_is_much_smaller_than_random_gap() {
-        let t5 = run(&EvalConfig::tiny());
+        let t5 = tiny_run();
         let mean_greedy: f64 =
             t5.rows.iter().map(|r| r.ratio_greedy.abs()).sum::<f64>() / t5.rows.len() as f64;
         let mean_random: f64 =

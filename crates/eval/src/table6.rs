@@ -179,13 +179,20 @@ impl Table6 {
 mod tests {
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Table6 {
+        static RUN: std::sync::OnceLock<Table6> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn exact_and_greedy_beat_random_selection() {
         // Shape fidelity: averaged over all (dataset, k) blocks, the
         // similarity-optimising methods should not lose to random item
         // picks on among-items alignment. Per-block comparisons are too
         // noisy at the tiny test scale (≤ 8 instances per block).
-        let t6 = run(&EvalConfig::tiny());
+        let t6 = tiny_run();
         assert!(!t6.blocks.is_empty());
         let mean_of = |mi: usize| -> f64 {
             t6.blocks
@@ -206,7 +213,7 @@ mod tests {
 
     #[test]
     fn greedy_tracks_exact() {
-        let t6 = run(&EvalConfig::tiny());
+        let t6 = tiny_run();
         for b in &t6.blocks {
             let greedy = &b.methods[2];
             let exact = &b.methods[3];
@@ -223,7 +230,7 @@ mod tests {
 
     #[test]
     fn renders_paper_layout() {
-        let t6 = run(&EvalConfig::tiny());
+        let t6 = tiny_run();
         let text = t6.render();
         assert!(text.contains("Top-k similarity"));
         assert!(text.contains("TargetHkS_ILP"));

@@ -169,9 +169,16 @@ impl Table7 {
 mod tests {
     use super::*;
 
+    /// The tiny-config run, shared by every test of this module: one run
+    /// per test binary instead of one per test.
+    fn tiny_run() -> &'static Table7 {
+        static RUN: std::sync::OnceLock<Table7> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(&EvalConfig::tiny()))
+    }
+
     #[test]
     fn study_produces_examples_and_rows() {
-        let t7 = run(&EvalConfig::tiny());
+        let t7 = tiny_run();
         assert!(t7.num_examples > 0);
         assert_eq!(t7.rows.len(), 3);
         for r in &t7.rows {
@@ -185,7 +192,7 @@ mod tests {
     #[test]
     fn comparesets_plus_scores_at_least_random() {
         // Table 7 shape: CompaReSetS+ ≥ Random on every question.
-        let t7 = run(&EvalConfig::tiny());
+        let t7 = tiny_run();
         let random = &t7.rows[0];
         let plus = &t7.rows[2];
         for qi in 0..3 {
